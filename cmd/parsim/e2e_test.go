@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -495,4 +496,115 @@ func outputChanges(t *testing.T, path string) map[string][]string {
 		}
 	}
 	return changes
+}
+
+// TestWideFlagMatrix pins the -wide flag surface. Wide runs take the same
+// path as scalar runs, so supervision, fault injection and cone-split
+// apply to them; the refusals left are those with a semantic reason,
+// which the error must name.
+func TestWideFlagMatrix(t *testing.T) {
+	base := []string{"-circuit", "ripple8", "-wide", "-system", "2", "-lps", "2", "-vectors", "8", "-q"}
+	accepts := []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"supervise", []string{"-engine", "timewarp", "-supervise"}, 0},
+		{"watchdog", []string{"-engine", "cmb", "-watchdog", "2s"}, 0},
+		{"panic-lp-supervised", []string{"-engine", "timewarp", "-fault-panic-lp", "1", "-supervise"}, 0},
+		{"panic-lp", []string{"-engine", "cmb", "-fault-panic-lp", "1"}, exitPanic},
+		{"hang-lp", []string{"-engine", "cmb", "-fault-hang-lp", "1", "-watchdog", "250ms", "-retries", "0", "-fallback=false"}, exitHang},
+		{"lookahead-bias", []string{"-engine", "cmb", "-lps", "4", "-fault-lookahead-bias", "20"}, exitCausality},
+		{"cone-split", []string{"-engine", "sync", "-cone-split"}, 0},
+	}
+	for _, tc := range accepts {
+		t.Run("accepts-"+tc.name, func(t *testing.T) {
+			stdout, stderr, code := run(t, append(append([]string(nil), base...), tc.args...)...)
+			if code != tc.code {
+				t.Fatalf("exit code %d, want %d; stdout:\n%s\nstderr:\n%s", code, tc.code, stdout, stderr)
+			}
+		})
+	}
+
+	dir := t.TempDir()
+	ckptDir := filepath.Join(dir, "ckpts")
+	if _, stderr, code := run(t, "-circuit", "ripple8", "-engine", "seq", "-system", "2",
+		"-checkpoint-every", "400", "-checkpoint-dir", ckptDir, "-q"); code != 0 {
+		t.Fatalf("checkpointed run failed:\n%s", stderr)
+	}
+	snaps, err := filepath.Glob(filepath.Join(ckptDir, "ckpt-*.json"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no checkpoints written (err=%v)", err)
+	}
+	refuses := []struct {
+		name   string
+		args   []string
+		reason string
+	}{
+		{"system-9", []string{"-system", "9"}, "two bits per lane"},
+		{"restore", []string{"-restore", snaps[0]}, "scalar values"},
+		{"checkpoint-every", []string{"-checkpoint-every", "400", "-checkpoint-dir", filepath.Join(dir, "wide")}, "scalar values"},
+		{"adapt", []string{"-engine", "cmb", "-adapt"}, "checkpoint/restart"},
+		{"dist", []string{"-engine", "cmb", "-dist", "2"}, "wire format"},
+	}
+	for _, tc := range refuses {
+		t.Run("refuses-"+tc.name, func(t *testing.T) {
+			_, stderr, code := run(t, append(append([]string(nil), base...), tc.args...)...)
+			if code == 0 {
+				t.Fatal("refused combination accepted")
+			}
+			if !strings.Contains(stderr, tc.reason) {
+				t.Errorf("stderr does not give the reason %q:\n%s", tc.reason, stderr)
+			}
+		})
+	}
+
+	t.Run("cone-split-metrics", func(t *testing.T) {
+		mpath := filepath.Join(dir, "metrics.json")
+		if _, stderr, code := run(t, append(append([]string(nil), base...),
+			"-engine", "cmb", "-cone-split", "-metrics-out", mpath)...); code != 0 {
+			t.Fatalf("run failed (%d):\n%s", code, stderr)
+		}
+		var m struct {
+			Labels map[string]string  `json:"labels"`
+			Gauges map[string]float64 `json:"gauges"`
+		}
+		if err := json.Unmarshal([]byte(readFile(t, mpath)), &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Labels["partition"] != "cone-split" {
+			t.Errorf("partition label %q, want cone-split", m.Labels["partition"])
+		}
+		if _, ok := m.Gauges["cone_count"]; !ok {
+			t.Error("metrics JSON missing the cone_count gauge")
+		}
+	})
+
+	t.Run("sync-trace-spans", func(t *testing.T) {
+		tpath := filepath.Join(dir, "trace.json")
+		if _, stderr, code := run(t, append(append([]string(nil), base...),
+			"-engine", "sync", "-trace-out", tpath)...); code != 0 {
+			t.Fatalf("run failed (%d):\n%s", code, stderr)
+		}
+		var tr struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+				Ph   string `json:"ph"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal([]byte(readFile(t, tpath)), &tr); err != nil {
+			t.Fatal(err)
+		}
+		spans := map[string]bool{}
+		for _, ev := range tr.TraceEvents {
+			if ev.Ph == "X" {
+				spans[ev.Name] = true
+			}
+		}
+		for _, name := range []string{"apply", "evaluate", "barrier"} {
+			if !spans[name] {
+				t.Errorf("trace has no %q span (have %v)", name, spans)
+			}
+		}
+	})
 }

@@ -296,13 +296,27 @@ func main() {
 		fmt.Printf("stimulus: %d vectors to t=%d, horizon t=%d\n", stim.NumVectors(), stim.End, until)
 	}
 
+	// simulate runs the selected value plane; the output below shows a
+	// wide run through lane 0.
+	simulate := func(o core.Options) (*core.Report, error) { return core.Simulate(c, stim, until, o) }
 	if *wide {
-		runWide(c, *lanes, *nvectors, *activity, circuit.Tick(*period), *seed, opts,
-			*vcdPath, *metricsOut, *traceOut, *quiet, ostats)
-		return
+		ws, err := makeWideStimulus(c, *lanes, *nvectors, *activity, circuit.Tick(*period), *seed, sys)
+		fatal(err)
+		wuntil := core.WideHorizon(c, ws)
+		if !*quiet {
+			fmt.Printf("wide: %d lanes x %d boundaries (%d vectors), horizon t=%d\n",
+				ws.Lanes, ws.NumVectors(), ws.NumVectors()*ws.Lanes, wuntil)
+		}
+		simulate = func(o core.Options) (*core.Report, error) {
+			w, err := core.SimulateWide(c, ws, wuntil, o)
+			if err != nil {
+				return nil, err
+			}
+			return laneZero(c, w, o.System), nil
+		}
 	}
 
-	rep, err := core.Simulate(c, stim, until, opts)
+	rep, err := simulate(opts)
 	fatal(err)
 	addOptGauges(rep.Metrics, ostats)
 
@@ -324,12 +338,17 @@ func main() {
 	}
 
 	model := stats.DefaultCostModel()
-	fmt.Printf("engine=%s lps=%d modeled=%.2fms wall=%v\n",
-		engine, rep.Processors, rep.Modeled/1e6, rep.Stats.Wall.Round(10))
+	if *wide {
+		fmt.Printf("engine=%s-wide lps=%d lanes=%d vectors=%d vectors/s=%.0f modeled=%.2fms wall=%v\n",
+			engine, rep.Processors, rep.Lanes, rep.Vectors, rep.VectorsPerSec, rep.Modeled/1e6, rep.Stats.Wall.Round(10))
+	} else {
+		fmt.Printf("engine=%s lps=%d modeled=%.2fms wall=%v\n",
+			engine, rep.Processors, rep.Modeled/1e6, rep.Stats.Wall.Round(10))
+	}
 	if !*quiet {
 		if engine != core.EngineSeq {
 			fmt.Printf("counters: %s\n", rep.Stats.Summary(model))
-			base, err := core.Simulate(c, stim, until, core.Options{Engine: core.EngineSeq, System: sys, Queue: queue})
+			base, err := simulate(core.Options{Engine: core.EngineSeq, System: sys, Queue: queue})
 			fatal(err)
 			fmt.Printf("modeled speedup over sequential: %.2fx on %d processors\n",
 				rep.SpeedupOver(base, model), rep.Processors)
@@ -337,7 +356,11 @@ func main() {
 			fmt.Printf("counters: evals=%d events=%d timesteps=%d\n",
 				rep.SeqWork.Evaluations, rep.SeqWork.EventsApplied, rep.SeqWork.Steps)
 		}
-		fmt.Printf("final outputs:")
+		if *wide {
+			fmt.Printf("final outputs (lane 0):")
+		} else {
+			fmt.Printf("final outputs:")
+		}
 		for _, o := range c.Outputs {
 			fmt.Printf(" %s=%v", c.Gate(o).Name, rep.Values[o])
 		}
@@ -377,89 +400,18 @@ func main() {
 	}
 }
 
-// runWide executes the -wide path: -lanes independent stimulus batches are
-// packed into 64-lane words and evaluated by the wide variant of the
-// selected engine, 64 vectors per gate operation. Supervision,
-// checkpointing, restore, fault injection, and the nine-valued system have
-// no wide counterpart and are rejected up front.
-func runWide(c *circuit.Circuit, lanes, vecs int, activity float64, period circuit.Tick,
-	seed int64, opts core.Options, vcdPath, metricsOut, traceOut string, quiet bool, ostats *opt.Stats) {
-	switch {
-	case opts.System == logic.NineValued:
-		fatal(fmt.Errorf("-wide needs -system 2 or 4: nine-valued signals do not pack into two-bit lanes"))
-	case opts.Supervise != nil:
-		fatal(fmt.Errorf("-wide does not support -supervise/-watchdog"))
-	case opts.Restore != nil:
-		fatal(fmt.Errorf("-wide does not support -restore"))
-	case opts.Chaos != nil:
-		fatal(fmt.Errorf("-wide does not support fault injection"))
-	case opts.CheckpointEvery > 0:
-		fatal(fmt.Errorf("-wide does not support -checkpoint-every"))
+// laneZero views a wide report through lane 0: its final values and its
+// waveform with per-lane deduplication, as a scalar run of lane 0's
+// stimulus would report them.
+func laneZero(c *circuit.Circuit, w *core.WideReport, sys logic.System) *core.Report {
+	rep := &core.Report{RunInfo: w.RunInfo, Values: make([]logic.Value, len(w.Values))}
+	for g, word := range w.Values {
+		rep.Values[g] = word.Get(0)
 	}
-
-	ws, err := makeWideStimulus(c, lanes, vecs, activity, period, seed, opts.System)
-	fatal(err)
-	until := core.WideHorizon(c, ws)
-	if !quiet {
-		fmt.Printf("wide: %d lanes x %d boundaries (%d vectors), horizon t=%d\n",
-			ws.Lanes, ws.NumVectors(), ws.NumVectors()*ws.Lanes, until)
-	}
-
-	start := time.Now()
-	rep, err := core.SimulateWide(c, ws, until, opts)
-	fatal(err)
-	wall := time.Since(start)
-	addOptGauges(rep.Metrics, ostats)
-
-	fmt.Printf("engine=%s-wide lps=%d lanes=%d vectors=%d vectors/s=%.0f wall=%v\n",
-		opts.Engine, rep.Processors, rep.Lanes, rep.Vectors, rep.VectorsPerSec,
-		wall.Round(10*time.Microsecond))
-	if !quiet {
-		if opts.Engine != core.EngineSeq {
-			fmt.Printf("counters: %s\n", rep.Stats.Summary(stats.DefaultCostModel()))
-		}
-		fmt.Printf("final outputs (lane 0):")
-		for _, o := range c.Outputs {
-			fmt.Printf(" %s=%v", c.Gate(o).Name, rep.Values[o].Get(0))
-		}
-		fmt.Println()
-	}
-
-	if vcdPath != "" {
-		init := func(g circuit.GateID) logic.Value {
-			return opts.System.Project(circuit.InitialValue(c.Gates[g].Kind))
-		}
-		wf := rep.Waveform.Lane(0, init)
-		f, err := os.Create(vcdPath)
-		fatal(err)
-		defer f.Close()
-		fatal(trace.WriteVCD(f, c, c.Outputs, wf, "1ns"))
-		if !quiet {
-			fmt.Printf("wrote lane-0 waveform (%d samples) to %s\n", len(wf), vcdPath)
-		}
-	}
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		fatal(err)
-		defer f.Close()
-		if rep.Metrics == nil {
-			fatal(fmt.Errorf("no metrics report produced"))
-		}
-		fatal(rep.Metrics.WriteJSON(f))
-		if !quiet {
-			fmt.Printf("metrics: %s -> %s\n", rep.Metrics.Summary(), metricsOut)
-		}
-	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		fatal(err)
-		defer f.Close()
-		fatal(opts.Tracer.WriteJSON(f))
-		if !quiet {
-			fmt.Printf("trace: %d spans (%d dropped) -> %s\n",
-				opts.Tracer.TotalSpans(), opts.Tracer.Dropped(), traceOut)
-		}
-	}
+	rep.Waveform = w.Waveform.Lane(0, func(g circuit.GateID) logic.Value {
+		return sys.Project(circuit.InitialValue(c.Gates[g].Kind))
+	})
+	return rep
 }
 
 // addOptGauges publishes the optimizer's headline numbers into the run's

@@ -140,3 +140,17 @@ func EvalGateWide(c *Circuit, id GateID, val, prevClk []logic.Word, scratch []lo
 	out, clkSample = EvaluateWide(g.Kind, scratch, val[id], prevClk[id])
 	return out, clkSample, scratch
 }
+
+// Plane is one value domain's state initializer and gate evaluator, the
+// only value-specific pieces of an event loop: ScalarPlane carries one
+// vector per net, WidePlane 64 packed vector lanes per net.
+type Plane[V comparable] struct {
+	InitState func(c *Circuit, sys logic.System) (val, prevClk []V)
+	EvalGate  func(c *Circuit, id GateID, val, prevClk, scratch []V) (out, clkSample V, buf []V)
+}
+
+// The two value planes.
+var (
+	ScalarPlane = Plane[logic.Value]{InitState: InitState, EvalGate: EvalGate}
+	WidePlane   = Plane[logic.Word]{InitState: InitStateWide, EvalGate: EvalGateWide}
+)

@@ -158,13 +158,7 @@ func simulateAdaptive(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.
 		}
 		o.Metrics = segReg
 
-		var rep *Report
-		var err error
-		if o.Supervise != nil {
-			rep, err = simulateSupervised(c, stim, segEnd, o)
-		} else {
-			rep, err = simulateOnce(c, stim, segEnd, o, 0)
-		}
+		rep, err := simulate(c, scalarPlane(stim), segEnd, o)
 		if err != nil {
 			return nil, err
 		}
@@ -306,14 +300,16 @@ func simulateAdaptive(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.
 	}
 
 	rep := &Report{
-		Engine:      opts.Engine,
-		Values:      values,
-		Waveform:    wave,
-		EndTime:     endTime,
-		Modeled:     modeled,
-		Processors:  procs,
-		Supervision: srep,
-		Adapt:       ar,
+		RunInfo: RunInfo{
+			Engine:      opts.Engine,
+			EndTime:     endTime,
+			Modeled:     modeled,
+			Processors:  procs,
+			Supervision: srep,
+			Adapt:       ar,
+		},
+		Values:   values,
+		Waveform: wave,
 	}
 	rep.Stats = stats.Collect(master, wall)
 	if ext, ok := opts.Metrics.(*metrics.Registry); ok {

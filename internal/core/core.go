@@ -236,13 +236,11 @@ const (
 	KindShardLoss  = supervise.KindShardLoss
 )
 
-// Report is the engine-independent outcome of a run.
-type Report struct {
-	Engine   Engine
-	Values   []logic.Value
-	Waveform trace.Waveform
-	EndTime  circuit.Tick
-	Stats    stats.RunStats
+// RunInfo is the value-plane-independent part of a report.
+type RunInfo struct {
+	Engine  Engine
+	EndTime circuit.Tick
+	Stats   stats.RunStats
 	// Modeled is the run's modeled execution time in model nanoseconds on
 	// Processors modeled processors (see package stats for methodology).
 	Modeled    float64
@@ -259,11 +257,35 @@ type Report struct {
 	// Adapt, when the run was adaptive, records every controller
 	// decision and the final operating point.
 	Adapt *AdaptReport
+	// Lanes is a wide run's meaningful lane count, copied from the
+	// stimulus; 0 for a scalar run.
+	Lanes int
+	// Vectors is the total number of stimulus vectors a wide run
+	// consumed: lanes times distinct stimulus boundaries.
+	Vectors uint64
+	// VectorsPerSec is Vectors divided by the run's wall-clock time — the
+	// headline wide-throughput figure.
+	VectorsPerSec float64
 }
+
+// ReportOf is the engine-independent outcome of a run on value plane V
+// (logic.Value, or the 64-lane logic.Word) with waveform type W.
+type ReportOf[V comparable, W ~[]trace.SampleOf[V]] struct {
+	RunInfo
+	Values   []V
+	Waveform W
+}
+
+// Report is the outcome of a scalar run.
+type Report = ReportOf[logic.Value, trace.Waveform]
+
+// WideReport is the outcome of a wide (64-lane) run; lane k of its
+// waveform equals a scalar run of lane k's stimulus on the same engine.
+type WideReport = ReportOf[logic.Word, trace.WideWaveform]
 
 // SpeedupOver computes this run's modeled speedup over a sequential
 // baseline report.
-func (r *Report) SpeedupOver(baseline *Report, m stats.CostModel) float64 {
+func (r *ReportOf[V, W]) SpeedupOver(baseline *ReportOf[V, W], m stats.CostModel) float64 {
 	if m == (stats.CostModel{}) {
 		m = stats.DefaultCostModel()
 	}
@@ -274,14 +296,79 @@ func (r *Report) SpeedupOver(baseline *Report, m stats.CostModel) float64 {
 	return stats.Speedup(seqTime, r.Modeled)
 }
 
+// cmbModes maps each conservative engine to its protocol variant.
+var cmbModes = map[Engine]cmb.Mode{
+	EngineCMB:       cmb.NullEager,
+	EngineCMBDemand: cmb.NullDemand,
+	EngineCMBDetect: cmb.DeadlockRecovery,
+}
+
+// plane is one value plane's stimulus and engine entry points (Run or
+// RunWide of each engine): all that the engine dispatch in simulateOnce
+// needs to know about the plane. lanes is 0 for the scalar plane.
+type plane[S any, V comparable, W ~[]trace.SampleOf[V]] struct {
+	stim       S
+	lanes      int
+	boundaries int
+	seq        func(*circuit.Circuit, S, circuit.Tick, seq.Config) (*seq.ResultOf[V, W], error)
+	oblivious  func(*circuit.Circuit, S, oblivious.Config) (*oblivious.ResultOf[V, W], error)
+	sync       func(*circuit.Circuit, S, circuit.Tick, sync.Config) (*sync.ResultOf[V, W], error)
+	cmb        func(*circuit.Circuit, S, circuit.Tick, cmb.Config) (*cmb.ResultOf[V, W], error)
+	timewarp   func(*circuit.Circuit, S, circuit.Tick, timewarp.Config) (*timewarp.ResultOf[V, W], error)
+	hybrid     func(*circuit.Circuit, S, circuit.Tick, hybrid.Config) (*hybrid.ResultOf[V, W], error)
+}
+
+// scalarPlane runs the engines' Run entry points on stim.
+func scalarPlane(stim *vectors.Stimulus) plane[*vectors.Stimulus, logic.Value, trace.Waveform] {
+	return plane[*vectors.Stimulus, logic.Value, trace.Waveform]{
+		stim: stim, seq: seq.Run, oblivious: oblivious.Run, sync: sync.Run,
+		cmb: cmb.Run, timewarp: timewarp.Run, hybrid: hybrid.Run,
+	}
+}
+
+// widePlane runs the engines' RunWide entry points on stim; boundaries
+// counts the distinct change times up to until.
+func widePlane(stim *vectors.WideStimulus, until circuit.Tick) plane[*vectors.WideStimulus, logic.Word, trace.WideWaveform] {
+	p := plane[*vectors.WideStimulus, logic.Word, trace.WideWaveform]{
+		stim: stim, seq: seq.RunWide, oblivious: oblivious.RunWide, sync: sync.RunWide,
+		cmb: cmb.RunWide, timewarp: timewarp.RunWide, hybrid: hybrid.RunWide,
+	}
+	seen := map[circuit.Tick]bool{}
+	for _, ch := range stim.Changes {
+		if ch.Time <= until {
+			seen[ch.Time] = true
+		}
+	}
+	p.lanes, p.boundaries = stim.Lanes, len(seen)
+	return p
+}
+
+// label names an engine run on the plane in metrics and errors.
+func (p *plane[S, V, W]) label(e Engine) string {
+	if p.lanes > 0 {
+		return e.String() + "-wide"
+	}
+	return e.String()
+}
+
+// simulate runs the engine once, or under the supervision layer when
+// Options.Supervise is set.
+func simulate[S any, V comparable, W ~[]trace.SampleOf[V]](c *circuit.Circuit, p plane[S, V, W], until circuit.Tick, opts Options) (*ReportOf[V, W], error) {
+	if opts.Supervise != nil {
+		return simulateSupervised(c, p, until, opts)
+	}
+	return simulateOnce(c, p, until, opts, 0)
+}
+
 // simulateOnce runs the selected engine exactly once. hangTimeout arms the
 // asynchronous engines' progress watchdog; zero leaves it off. A panic on
 // the calling goroutine (the serial engines run there) is recovered into a
 // structured SimError, completing panic isolation for every engine.
-func simulateOnce(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, opts Options, hangTimeout time.Duration) (rep *Report, err error) {
+func simulateOnce[S any, V comparable, W ~[]trace.SampleOf[V]](c *circuit.Circuit, p plane[S, V, W], until circuit.Tick, opts Options, hangTimeout time.Duration) (rep *ReportOf[V, W], err error) {
+	label := p.label(opts.Engine)
 	defer func() {
 		if r := recover(); r != nil {
-			rep, err = nil, supervise.FromPanic(opts.Engine.String(), -1, "run", 0, r)
+			rep, err = nil, supervise.FromPanic(label, -1, "run", 0, r)
 		}
 	}()
 	if opts.Restore != nil && opts.Engine == EngineOblivious {
@@ -289,12 +376,13 @@ func simulateOnce(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick
 	}
 	sink := opts.Metrics
 	if sink == nil {
-		reg := metrics.NewRegistry(opts.Engine.String())
+		reg := metrics.NewRegistry(label)
 		if opts.PProfLabels {
 			reg.EnablePProf()
 		}
 		sink = reg
 	}
+	start := time.Now()
 
 	part, coneCount, err := buildPartition(c, opts)
 	if err != nil {
@@ -302,10 +390,10 @@ func simulateOnce(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick
 	}
 	sweep := opts.ConeSplit
 
-	rep = &Report{Engine: opts.Engine, Processors: opts.LPs}
+	rep = &ReportOf[V, W]{RunInfo: RunInfo{Engine: opts.Engine, Processors: opts.LPs}}
 	switch opts.Engine {
 	case EngineSeq:
-		res, err := seq.Run(c, stim, until, seq.Config{
+		res, err := p.seq(c, p.stim, until, seq.Config{
 			System: opts.System, Queue: opts.Queue, Watch: opts.Watch, MaxEvents: opts.MaxEvents,
 			Metrics: sink, Tracer: opts.Tracer, Boot: opts.Restore,
 		})
@@ -315,11 +403,12 @@ func simulateOnce(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick
 		rep.Values, rep.Waveform, rep.EndTime = res.Values, res.Waveform, res.EndTime
 		rep.SeqWork = res.Counters
 		rep.Stats.LPs = []metrics.LPCounters{res.Counters}
+		rep.Stats.Wall = time.Since(start)
 		rep.Processors = 1
 		rep.Modeled = stats.SequentialTime(opts.Cost,
 			res.Counters.Evaluations, res.Counters.EventsApplied, res.Counters.EventsScheduled)
 	case EngineOblivious:
-		res, err := oblivious.Run(c, stim, oblivious.Config{
+		res, err := p.oblivious(c, p.stim, oblivious.Config{
 			System: opts.System, Workers: opts.LPs, Watch: opts.Watch, Cost: opts.Cost,
 			Metrics: sink, Tracer: opts.Tracer,
 		})
@@ -330,7 +419,7 @@ func simulateOnce(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick
 		rep.Stats = res.Stats
 		rep.Modeled = res.Stats.ModeledTime(opts.Cost)
 	case EngineSync:
-		res, err := sync.Run(c, stim, until, sync.Config{
+		res, err := p.sync(c, p.stim, until, sync.Config{
 			Partition: part, System: opts.System, Queue: opts.Queue,
 			Watch: opts.Watch, Cost: opts.Cost, MaxEvents: opts.MaxEvents,
 			Metrics: sink, Tracer: opts.Tracer, Boot: opts.Restore,
@@ -342,15 +431,8 @@ func simulateOnce(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick
 		rep.Stats = res.Stats
 		rep.Modeled = res.Stats.ModeledTime(opts.Cost)
 	case EngineCMB, EngineCMBDemand, EngineCMBDetect:
-		mode := cmb.NullEager
-		switch opts.Engine {
-		case EngineCMBDemand:
-			mode = cmb.NullDemand
-		case EngineCMBDetect:
-			mode = cmb.DeadlockRecovery
-		}
-		res, err := cmb.Run(c, stim, until, cmb.Config{
-			Partition: part, Mode: mode, System: opts.System, Queue: opts.Queue,
+		res, err := p.cmb(c, p.stim, until, cmb.Config{
+			Partition: part, Mode: cmbModes[opts.Engine], System: opts.System, Queue: opts.Queue,
 			Watch: opts.Watch, MaxEvents: opts.MaxEvents,
 			Metrics: sink, Tracer: opts.Tracer, Chaos: opts.Chaos,
 			HangTimeout: hangTimeout, Boot: opts.Restore, Sweep: sweep,
@@ -366,7 +448,7 @@ func simulateOnce(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick
 		if opts.Engine == EngineTimeWarpLazy {
 			cancel = timewarp.Lazy
 		}
-		res, err := timewarp.Run(c, stim, until, timewarp.Config{
+		res, err := p.timewarp(c, p.stim, until, timewarp.Config{
 			Partition: part, Cancellation: cancel, StateSaving: opts.StateSaving,
 			Window: opts.Window, System: opts.System, Queue: opts.Queue,
 			Watch: opts.Watch, MaxEvents: opts.MaxEvents,
@@ -381,7 +463,7 @@ func simulateOnce(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick
 		rep.Stats = res.Stats
 		rep.Modeled = res.Stats.ModeledTime(opts.Cost)
 	case EngineHybrid:
-		res, err := hybrid.Run(c, stim, until, hybrid.Config{
+		res, err := p.hybrid(c, p.stim, until, hybrid.Config{
 			Partition: part, IntraWorkers: opts.IntraWorkers,
 			Cancellation: opts.Cancellation, StateSaving: opts.StateSaving,
 			Window: opts.Window, System: opts.System, Cost: opts.Cost,
@@ -400,9 +482,21 @@ func simulateOnce(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick
 	default:
 		return nil, fmt.Errorf("core: unknown engine %v", opts.Engine)
 	}
+	if p.lanes > 0 {
+		rep.Lanes = p.lanes
+		rep.Vectors = uint64(p.lanes) * uint64(p.boundaries)
+		if secs := time.Since(start).Seconds(); secs > 0 {
+			rep.VectorsPerSec = float64(rep.Vectors) / secs
+		}
+		sink.SetGauge("lanes", float64(p.lanes))
+		sink.SetGauge("vectors_per_sec", rep.VectorsPerSec)
+	}
 	if reg, ok := sink.(*metrics.Registry); ok {
-		reg.SetLabel("engine", opts.Engine.String())
+		reg.SetLabel("engine", label)
 		reg.SetLabel("lps", fmt.Sprint(rep.Processors))
+		if p.lanes > 0 {
+			reg.SetLabel("lanes", fmt.Sprint(p.lanes))
+		}
 		if opts.Engine.Parallel() {
 			if opts.ConeSplit {
 				reg.SetLabel("partition", partition.MethodConeSplit.String())

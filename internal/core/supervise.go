@@ -12,6 +12,7 @@ import (
 	"repro/internal/sim/ckpt"
 	"repro/internal/sim/seq"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/vectors"
 )
 
@@ -26,18 +27,7 @@ import (
 // identical. With Options.CheckpointEvery/CheckpointDir set, consistent
 // snapshots are written during the run; Options.Restore resumes from one.
 func Simulate(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, opts Options) (*Report, error) {
-	if opts.LPs <= 0 {
-		opts.LPs = 4
-	}
-	if opts.System == 0 {
-		opts.System = logic.NineValued
-	}
-	if opts.Cost == (stats.CostModel{}) {
-		opts.Cost = stats.DefaultCostModel()
-	}
-	if opts.IntraWorkers <= 0 {
-		opts.IntraWorkers = 2
-	}
+	opts = withDefaults(opts, logic.NineValued)
 	if opts.CheckpointEvery > 0 && opts.CheckpointDir != "" {
 		if err := writeCheckpoints(c, stim, until, opts); err != nil {
 			return nil, err
@@ -48,13 +38,7 @@ func Simulate(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, op
 		// and (when configured) per-segment supervision.
 		return simulateAdaptive(c, stim, until, opts)
 	}
-	var rep *Report
-	var err error
-	if opts.Supervise == nil {
-		rep, err = simulateOnce(c, stim, until, opts, 0)
-	} else {
-		rep, err = simulateSupervised(c, stim, until, opts)
-	}
+	rep, err := simulate(c, scalarPlane(stim), until, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -68,6 +52,54 @@ func Simulate(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, op
 		}
 	}
 	return rep, nil
+}
+
+// SimulateWide runs the selected engine on all lanes of the wide stimulus
+// at once — 64 vectors per gate operation — through the same dispatch,
+// partitioning, supervision and fault injection as Simulate. Per lane,
+// the committed waveform is bit-identical to a scalar run of that lane's
+// stimulus on the same engine.
+//
+// The logic system must be two- or four-valued (default four-valued):
+// nine-valued signals do not fit two bits per lane. Checkpoint writes,
+// restore, and adaptive control are refused because a checkpoint
+// (ckpt.State) holds scalar values.
+func SimulateWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, opts Options) (*WideReport, error) {
+	switch {
+	case opts.Restore != nil:
+		return nil, fmt.Errorf("core: wide runs cannot restore: a checkpoint holds scalar values")
+	case opts.CheckpointEvery > 0:
+		return nil, fmt.Errorf("core: wide runs cannot write checkpoints: a checkpoint holds scalar values")
+	case opts.Adapt != nil:
+		return nil, fmt.Errorf("core: wide runs do not support adaptive control: it migrates segments through scalar checkpoints")
+	}
+	opts = withDefaults(opts, logic.FourValued)
+	if err := logic.CheckWide(opts.System); err != nil {
+		return nil, err
+	}
+	return simulate(c, widePlane(stim, until), until, opts)
+}
+
+// withDefaults fills the zero-valued options shared by both value planes.
+func withDefaults(opts Options, sys logic.System) Options {
+	if opts.LPs <= 0 {
+		opts.LPs = 4
+	}
+	if opts.System == 0 {
+		opts.System = sys
+	}
+	if opts.Cost == (stats.CostModel{}) {
+		opts.Cost = stats.DefaultCostModel()
+	}
+	if opts.IntraWorkers <= 0 {
+		opts.IntraWorkers = 2
+	}
+	return opts
+}
+
+// WideHorizon re-exports the wide settling-margin heuristic.
+func WideHorizon(c *circuit.Circuit, stim *vectors.WideStimulus) circuit.Tick {
+	return seq.WideHorizon(c, stim)
 }
 
 // recoverable reports whether the supervision layer may retry or degrade
@@ -84,7 +116,7 @@ func recoverable(err error) bool {
 }
 
 // simulateSupervised drives the retry/backoff/fallback chain.
-func simulateSupervised(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, opts Options) (*Report, error) {
+func simulateSupervised[S any, V comparable, W ~[]trace.SampleOf[V]](c *circuit.Circuit, p plane[S, V, W], until circuit.Tick, opts Options) (*ReportOf[V, W], error) {
 	sup := *opts.Supervise
 	chain := []Engine{opts.Engine}
 	if sup.Fallback {
@@ -116,7 +148,7 @@ func simulateSupervised(c *circuit.Circuit, stim *vectors.Stimulus, until circui
 			}
 			o := opts
 			o.Engine = eng
-			rep, err := simulateOnce(c, stim, until, o, sup.Watchdog)
+			rep, err := simulateOnce(c, p, until, o, sup.Watchdog)
 			if err == nil {
 				srep.FinalEngine = eng
 				rep.Supervision = srep

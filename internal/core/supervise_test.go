@@ -15,6 +15,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/partition"
 	"repro/internal/sim/ckpt"
+	"repro/internal/sim/seq"
 	"repro/internal/sim/supervise"
 	"repro/internal/simtest/chaos/inject"
 	"repro/internal/trace"
@@ -192,39 +193,75 @@ func TestSupervisedHangFallsBack(t *testing.T) {
 func TestSupervisedPanicRetries(t *testing.T) {
 	c, stim, until := workload(t)
 	base := golden(t, c, stim, until)
-	for _, e := range []Engine{EngineCMB, EngineTimeWarp} {
-		t.Run(e.String(), func(t *testing.T) {
+	// The wide cases pack independent per-lane stimuli; sampled lanes
+	// must match the scalar reference run of that lane's stimulus.
+	ws, lanes, err := vectors.ClockedBatch(c, vectors.ClockedConfig{Clock: "clk", Cycles: 12, HalfPeriod: 60, Activity: 0.5, Seed: 3}, logic.Lanes, logic.TwoValued)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wuntil := WideHorizon(c, ws)
+	cases := []struct {
+		e    Engine
+		wide bool
+	}{{EngineCMB, false}, {EngineTimeWarp, false}, {EngineCMB, true}, {EngineTimeWarp, true}}
+	for _, tc := range cases {
+		name := tc.e.String()
+		if tc.wide {
+			name += "-wide"
+		}
+		t.Run(name, func(t *testing.T) {
 			hook := inject.NewHook(1, nil)
 			hook.PanicLP = 1
-			rep, err := Simulate(c, stim, until, Options{
-				Engine: e, LPs: 4, Partition: partition.MethodFM, System: logic.TwoValued,
+			opts := Options{
+				Engine: tc.e, LPs: 4, Partition: partition.MethodFM, System: logic.TwoValued,
 				Chaos: hook,
 				Supervise: &SuperviseOptions{
 					Retries:  2,
 					Fallback: false,
 				},
-			})
-			if err != nil {
-				t.Fatalf("supervised run failed outright: %v", err)
 			}
-			if rep.Supervision == nil || rep.Supervision.Recoveries != 1 || rep.Supervision.Fallbacks != 0 {
-				t.Fatalf("expected exactly one retry recovery: %+v", rep.Supervision)
+			var info RunInfo
+			if tc.wide {
+				rep, err := SimulateWide(c, ws, wuntil, opts)
+				if err != nil {
+					t.Fatalf("supervised run failed outright: %v", err)
+				}
+				info = rep.RunInfo
+				for _, k := range []int{0, 31, logic.Lanes - 1} {
+					ref, err := seq.Run(c, lanes[k], wuntil, seq.Config{System: logic.TwoValued})
+					if err != nil {
+						t.Fatal(err)
+					}
+					init := func(g circuit.GateID) logic.Value {
+						return logic.TwoValued.Project(circuit.InitialValue(c.Gates[g].Kind))
+					}
+					if d := trace.Diff(ref.Waveform, rep.Waveform.Lane(k, init), 5); d != "" {
+						t.Fatalf("lane %d: recovered waveform differs from scalar seq:\n%s", k, d)
+					}
+				}
+			} else {
+				rep, err := Simulate(c, stim, until, opts)
+				if err != nil {
+					t.Fatalf("supervised run failed outright: %v", err)
+				}
+				info = rep.RunInfo
+				if d := trace.Diff(base.Waveform, rep.Waveform, 5); d != "" {
+					t.Fatalf("recovered waveform differs from golden:\n%s", d)
+				}
 			}
-			if rep.Supervision.FinalEngine != e {
-				t.Fatalf("final engine %v, want %v", rep.Supervision.FinalEngine, e)
+			if info.Supervision == nil || info.Supervision.Recoveries != 1 || info.Supervision.Fallbacks != 0 {
+				t.Fatalf("expected exactly one retry recovery: %+v", info.Supervision)
 			}
-			if d := trace.Diff(base.Waveform, rep.Waveform, 5); d != "" {
-				t.Fatalf("recovered waveform differs from golden:\n%s", d)
+			if info.Supervision.FinalEngine != tc.e {
+				t.Fatalf("final engine %v, want %v", info.Supervision.FinalEngine, tc.e)
 			}
-			if rep.Metrics == nil || rep.Metrics.Gauges["supervise_recoveries"] != 1 {
-				t.Fatalf("supervise_recoveries gauge wrong: %+v", rep.Metrics)
+			if info.Metrics == nil || info.Metrics.Gauges["supervise_recoveries"] != 1 {
+				t.Fatalf("supervise_recoveries gauge wrong: %+v", info.Metrics)
 			}
 		})
 	}
 }
 
-// TestSupervisedEventLimitNotRetried: the runaway guard is deterministic,
-// so the supervisor must fail fast instead of burning retries.
 func TestSupervisedEventLimitNotRetried(t *testing.T) {
 	c, stim, until := workload(t)
 	begin := time.Now()

@@ -146,6 +146,16 @@ func (h *Heap[T]) ResetFloor() { h.lastPop = 0 }
 
 // PopMin removes an event with the minimum time.
 func (h *Heap[T]) PopMin() (uint64, T, bool) {
+	t, v, ok := h.popMin()
+	if ok {
+		h.lastPop = t
+	}
+	return t, v, ok
+}
+
+// popMin is PopMin without raising the push floor, for the wheel's
+// overflow: promoting an event into the slots is not a pop of the queue.
+func (h *Heap[T]) popMin() (uint64, T, bool) {
 	var zero T
 	if len(h.items) == 0 {
 		return 0, zero, false
@@ -158,7 +168,6 @@ func (h *Heap[T]) PopMin() (uint64, T, bool) {
 	if last > 0 {
 		h.down(0)
 	}
-	h.lastPop = top.time
 	return top.time, top.v, true
 }
 

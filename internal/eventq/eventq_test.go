@@ -344,3 +344,26 @@ func TestResetFloorAllowsRollbackPattern(t *testing.T) {
 		}
 	}
 }
+
+// TestWheelRefillKeepsFloor is the minimal rollback sequence on which
+// promoting overflow events into the slots used to raise the overflow
+// heap's push floor after ResetFloor, so the out-of-horizon push at 18
+// failed with "push at 18 before last pop 20".
+func TestWheelRefillKeepsFloor(t *testing.T) {
+	w := NewWheel[int](8)
+	w.Push(0, 0)
+	w.Push(20, 1)
+	w.PopMin()
+	w.ResetFloor()
+	w.PeekTime()
+	w.Push(3, 2)
+	w.Push(18, 3)
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []uint64{3, 18, 20} {
+		if tm, _, ok := w.PopMin(); !ok || tm != want {
+			t.Fatalf("popped %d,%v, want %d", tm, ok, want)
+		}
+	}
+}

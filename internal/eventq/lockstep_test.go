@@ -62,6 +62,21 @@ func driveLockstep(t *testing.T, ops []byte) {
 		floor = wantTime
 	}
 	for opIdx, op := range ops {
+		if op%17 == 16 {
+			// ResetFloor and peek, then let the following pushes land up
+			// to 14 ticks before the last pop: the rollback requeue
+			// pattern, which rewinds the wheel's cursor below pending
+			// overflow.
+			wantPk, wantOK := qs[0].PeekTime()
+			for i, q := range qs {
+				q.ResetFloor()
+				if pk, ok := q.PeekTime(); pk != wantPk || ok != wantOK {
+					t.Fatalf("op %d: %s PeekTime %d,%v, %s PeekTime %d,%v", opIdx, names[0], wantPk, wantOK, names[i], pk, ok)
+				}
+			}
+			floor -= min(floor, uint64(op/17))
+			continue
+		}
 		if op%3 != 0 || qs[0].Len() == 0 {
 			// Push. The op byte picks an offset from the floor; every 7th
 			// push jumps far past the wheel horizon to force overflow, and
@@ -121,12 +136,14 @@ func TestLockstepEquivalence(t *testing.T) {
 }
 
 // FuzzLockstep lets the fuzzer search for operation sequences on which the
-// implementations disagree. Seeds cover pure pushes, alternation, and the
-// far-jump (overflow) path.
+// implementations disagree. Seeds cover pure pushes, alternation, the
+// far-jump (overflow) path, and ResetFloor followed by pushes before the
+// cursor.
 func FuzzLockstep(f *testing.F) {
 	f.Add([]byte{1, 2, 4, 5, 7, 8})
 	f.Add([]byte{0, 3, 6, 9, 12, 15})
 	f.Add([]byte{7, 14, 21, 0, 3, 49, 3, 3})
+	f.Add([]byte{11, 7, 3, 16, 25, 10})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]

@@ -84,7 +84,7 @@ func (w *Wheel[T]) refill() {
 		if !ok || t >= w.horizon() {
 			return
 		}
-		_, v, _ := w.overflow.PopMin()
+		_, v, _ := w.overflow.popMin()
 		idx := t % uint64(len(w.slots))
 		w.slots[idx] = append(w.slots[idx], item[T]{t, v})
 		w.wheelCnt++
@@ -132,10 +132,10 @@ func (w *Wheel[T]) Peek() (uint64, T, bool) {
 
 // ResetFloor permits pushes earlier than the last popped time; the push
 // path already rewinds the cursor and demotes out-of-horizon events. The
-// overflow heap shares the floor, since demotion pushes into it.
+// overflow heap's own floor never rises (refill promotes with popMin), so
+// the wheel's floor is the only one to reset.
 func (w *Wheel[T]) ResetFloor() {
 	w.lastPop = 0
-	w.overflow.ResetFloor()
 }
 
 // Err returns the latched push violation from the wheel or its

@@ -43,7 +43,7 @@ func E16CriticalPath(s Scale) (*Table, error) {
 		seqTime := stats.SequentialTime(m,
 			ref.Counters.Evaluations, ref.Counters.EventsApplied, ref.Counters.EventsScheduled)
 		ideal := stats.Speedup(seqTime, ref.CriticalPath)
-		base := &core.Report{SeqWork: ref.Counters}
+		base := &core.Report{RunInfo: core.RunInfo{SeqWork: ref.Counters}}
 		sp8, _, err := speedupOf(w, base, core.Options{
 			Engine: core.EngineTimeWarp, LPs: 8, Partition: partition.MethodFM, PartitionSeed: 3,
 		})

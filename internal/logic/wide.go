@@ -40,7 +40,7 @@ type Word struct {
 // wide. Every wide engine entry point applies this check.
 func CheckWide(sys System) error {
 	if sys != TwoValued && sys != FourValued {
-		return fmt.Errorf("logic: %v system not supported by wide evaluation (lanes are four-valued)", sys)
+		return fmt.Errorf("logic: %v system not supported by wide evaluation: nine-valued signals do not fit two bits per lane", sys)
 	}
 	return nil
 }

@@ -13,7 +13,7 @@
 // events to the owning LPs, and skipping the time-0 settling step.
 //
 // The package sits below the engines in the import graph (it imports
-// only circuit, logic, and trace), so engine configs can accept a
+// only circuit, logic, trace, and vectors), so engine configs can accept a
 // *ckpt.State without a cycle.
 package ckpt
 
@@ -28,6 +28,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/logic"
 	"repro/internal/trace"
+	"repro/internal/vectors"
 )
 
 // Version is the checkpoint format identifier. Bump on any
@@ -190,6 +191,26 @@ func (s *State) Prefix() trace.Waveform {
 		w[i] = trace.Sample{Time: circuit.Tick(sm.Time), Gate: sm.Gate, Value: sm.Value}
 	}
 	return w
+}
+
+// Seed copies the snapshot's value planes into val, prevClk and
+// projected and returns its pending events: the boot of an engine that
+// keeps one shared set of planes.
+func (s *State) Seed(val, prevClk, projected []logic.Value) []vectors.Change {
+	copy(val, s.Vals)
+	copy(prevClk, s.PrevClk)
+	copy(projected, s.Projected)
+	return s.Pending()
+}
+
+// Pending returns the snapshot's pending events as the stimulus-shaped
+// events the engines boot from.
+func (s *State) Pending() []vectors.Change {
+	out := make([]vectors.Change, len(s.Events))
+	for i, ev := range s.Events {
+		out[i] = vectors.Change{Time: circuit.Tick(ev.Time), Input: ev.Gate, Value: ev.Value}
+	}
+	return out
 }
 
 // FromWaveform converts a trace.Waveform into the stored form.

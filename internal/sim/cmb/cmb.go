@@ -125,13 +125,20 @@ type Config struct {
 	Dist *wire.Seam
 }
 
-// Result is the outcome of a conservative run.
-type Result struct {
-	Values   []logic.Value
-	Waveform trace.Waveform
+// ResultOf is the outcome of a conservative run on value plane V
+// (logic.Value or the 64-lane logic.Word) with waveform type W.
+type ResultOf[V comparable, W ~[]trace.SampleOf[V]] struct {
+	Values   []V
+	Waveform W
 	EndTime  circuit.Tick
 	Stats    stats.RunStats
 }
+
+// Result is the outcome of a scalar conservative run.
+type Result = ResultOf[logic.Value, trace.Waveform]
+
+// WideResult is the outcome of a wide conservative run.
+type WideResult = ResultOf[logic.Word, trace.WideWaveform]
 
 // infTick is the "never" timestamp.
 const infTick = circuit.Tick(^uint64(0))
@@ -256,32 +263,15 @@ type clp[V comparable] struct {
 	wakeGen atomic.Uint64
 	buf     []msg[V]
 	evs     []kernel.EventT[V]
+	rec     trace.RecorderOf[V]
 	end     circuit.Tick
 	// slot is the watchdog scoreboard entry (nil-safe; nil without a
 	// watchdog).
 	slot *supervise.LPSlot
 }
 
-// stimEvent is one pre-routed event whose value is already in the
-// engine's value domain: a projected scalar for Run, a packed 64-lane
-// word for RunWide.
-type stimEvent[V comparable] struct {
-	time  circuit.Tick
-	gate  circuit.GateID
-	value V
-}
-
 // Run simulates c under the stimulus until the given time (inclusive).
 func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Config) (*Result, error) {
-	if cfg.Partition == nil {
-		return nil, fmt.Errorf("cmb: Config.Partition is required")
-	}
-	if err := cfg.Partition.Validate(c); err != nil {
-		return nil, err
-	}
-	if err := c.CheckEventDriven(); err != nil {
-		return nil, err
-	}
 	if err := stim.Validate(c); err != nil {
 		return nil, err
 	}
@@ -291,70 +281,102 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	if cfg.System == 0 {
 		cfg.System = logic.NineValued
 	}
-	if cfg.Boot != nil {
-		if err := cfg.Boot.Check(c, cfg.System); err != nil {
+	events := stim.Project(cfg.System)
+	var seedState func(k *kernel.LP)
+	if boot := cfg.Boot; boot != nil {
+		if err := boot.Check(c, cfg.System); err != nil {
 			return nil, err
 		}
-	}
-	sink := cfg.Metrics
-	if sink == nil {
-		sink = metrics.NewRegistry("cmb-" + cfg.Mode.String())
-	}
-	start := time.Now()
-
-	var stimEvents, bootEvents []stimEvent[logic.Value]
-	var seedState func(k *kernel.LP)
-	if cfg.Boot == nil {
-		stimEvents = make([]stimEvent[logic.Value], 0, len(stim.Changes))
-		for _, ch := range stim.Changes {
-			stimEvents = append(stimEvents, stimEvent[logic.Value]{ch.Time, ch.Input, cfg.System.Project(ch.Value)})
-		}
-	} else {
-		boot := cfg.Boot
+		events = boot.Pending()
 		seedState = func(k *kernel.LP) {
 			k.SeedState(boot.Vals, boot.PrevClk, boot.Projected)
 		}
-		bootEvents = make([]stimEvent[logic.Value], 0, len(boot.Events))
-		for _, ev := range boot.Events {
-			bootEvents = append(bootEvents, stimEvent[logic.Value]{circuit.Tick(ev.Time), ev.Gate, ev.Value})
-		}
 	}
+	return run[logic.Value, trace.Waveform](c, until, cfg, "cmb", kernel.New, cfg.Sweep,
+		events, seedState, wireEncScalar, wireDecScalar)
+}
+
+// RunWide is the conservative engine on 64 packed lanes: the identical
+// null-message / deadlock-recovery protocol with every value message and
+// event carrying a whole 64-lane word. Inside each LP the kernel's
+// oblivious block sweep is armed: when the (lane-union) dirty set reaches
+// half the LP's block, the step evaluates the whole owned block in
+// levelized order obliviously-wide instead of walking the event-driven
+// selection machinery — scalar event semantics at LP boundaries, batch
+// evaluation inside. Per lane, the result is bit-identical to a scalar
+// conservative run of that lane's stimulus.
+//
+// A wide run cannot boot from a checkpoint (ckpt.State holds scalar
+// values) or run distributed (wire batches carry scalar values).
+func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, cfg Config) (*WideResult, error) {
+	if err := stim.Validate(c); err != nil {
+		return nil, err
+	}
+	if cfg.Boot != nil {
+		return nil, fmt.Errorf("cmb: wide runs cannot boot from a checkpoint: ckpt.State holds scalar values")
+	}
+	if cfg.Dist != nil {
+		return nil, fmt.Errorf("cmb: wide runs cannot run distributed: wire batches carry scalar values")
+	}
+	if cfg.System == 0 {
+		cfg.System = logic.FourValued
+	}
+	if err := logic.CheckWide(cfg.System); err != nil {
+		return nil, err
+	}
+	return run[logic.Word, trace.WideWaveform](c, until, cfg, "cmb-wide", kernel.NewWide, true,
+		stim.Changes, nil, nil, nil)
+}
+
+// run validates the configuration, runs the protocol on value plane V,
+// and assembles the result. newKernel is kernel.New or kernel.NewWide;
+// sweep arms its oblivious block sweep.
+func run[V comparable, W ~[]trace.SampleOf[V]](c *circuit.Circuit, until circuit.Tick, cfg Config, engine string,
+	newKernel func(c *circuit.Circuit, owner []int, self int, sys logic.System, watched, own []circuit.GateID) *kernel.LPT[V],
+	sweep bool, events []vectors.ChangeOf[V], seedState func(k *kernel.LPT[V]),
+	wireEnc func(msg[V]) wire.Msg, wireDec func(wire.Msg) msg[V]) (*ResultOf[V, W], error) {
+	if cfg.Partition == nil {
+		return nil, fmt.Errorf("cmb: Config.Partition is required")
+	}
+	if err := cfg.Partition.Validate(c); err != nil {
+		return nil, err
+	}
+	if err := c.CheckEventDriven(); err != nil {
+		return nil, err
+	}
+	sink := cfg.Metrics
+	if sink == nil {
+		sink = metrics.NewRegistry(engine + "-" + cfg.Mode.String())
+	}
+	start := time.Now()
 
 	watched := cfg.Watch
 	if watched == nil {
 		watched = c.Outputs
 	}
-	n := cfg.Partition.Blocks
-	recs := make([]trace.Recorder, n)
-	lps, sh, err := runCore(c, until, cfg, sink, "cmb",
-		stimEvents, bootEvents, seedState, wireEncScalar, wireDecScalar,
-		func(self int, own []circuit.GateID) *kernel.LP {
-			k := kernel.New(c, cfg.Partition.Assign, self, cfg.System, watched, own)
-			if cfg.Sweep {
+	owner := cfg.Partition.Assign
+	lps, sh, err := runCore(c, until, cfg, sink, engine, events, seedState, wireEnc, wireDec,
+		func(self int, own []circuit.GateID) *kernel.LPT[V] {
+			k := newKernel(c, owner, self, cfg.System, watched, own)
+			if sweep {
 				k.EnableSweep(kernel.SweepThreshold(len(own)))
 			}
 			return k
-		},
-		func(lp int, t circuit.Tick, g circuit.GateID, v logic.Value) {
-			recs[lp].Record(t, g, v)
 		})
 	if err != nil {
 		return nil, err
 	}
 
-	res := &Result{Values: make([]logic.Value, len(c.Gates))}
-	owner := cfg.Partition.Assign
+	res := &ResultOf[V, W]{Values: make([]V, len(c.Gates))}
 	for g := range c.Gates {
 		res.Values[g] = lps[owner[g]].k.Value(circuit.GateID(g))
 	}
-	recPtrs := make([]*trace.Recorder, n)
+	recs := make([]*trace.RecorderOf[V], len(lps))
 	for i, l := range lps {
-		recPtrs[i] = &recs[i]
-		if l.end > res.EndTime {
-			res.EndTime = l.end
-		}
+		recs[i] = &l.rec
+		res.EndTime = max(res.EndTime, l.end)
 	}
-	res.Waveform = trace.Merge(recPtrs...)
+	res.Waveform = W(trace.MergeOf(recs...))
 	sink.Globals().GVTRounds = sh.rounds
 	// null_ratio is the conservative protocol's headline overhead
 	// (nulls sent per applied event) as a run gauge — the signal the
@@ -368,23 +390,21 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 }
 
 // runCore is the conservative protocol over value type V: it derives the
-// LP graph, routes the pre-projected stimulus (or boot) events, runs the
-// LP goroutines (plus the coordinator in DeadlockRecovery mode) to
-// completion, and returns the finished LPs. Everything value-specific —
-// projection, recording, kernel construction, result assembly — lives in
-// the Run/RunWide wrappers.
+// LP graph, routes the pre-projected stimulus events (or, when seedState
+// is non-nil, the checkpoint's pending events), runs the LP goroutines
+// (plus the coordinator in DeadlockRecovery mode) to completion, and
+// returns the finished LPs.
 func runCore[V comparable](
 	c *circuit.Circuit,
 	until circuit.Tick,
 	cfg Config,
 	sink metrics.Sink,
 	engine string,
-	stimEvents, bootEvents []stimEvent[V],
+	events []vectors.ChangeOf[V],
 	seedState func(k *kernel.LPT[V]),
 	wireEnc func(msg[V]) wire.Msg,
 	wireDec func(wire.Msg) msg[V],
 	newKernel func(self int, own []circuit.GateID) *kernel.LPT[V],
-	record func(lp int, t circuit.Tick, g circuit.GateID, v V),
 ) ([]*clp[V], *shared[V], error) {
 	p := cfg.Partition
 	n := p.Blocks
@@ -502,9 +522,7 @@ func runCore[V comparable](
 			sh.transit.Add(1)
 			l.buffer(dst, msg[V]{kind: msgValue, from: l.id, time: t, gate: g, value: v})
 		}
-		l.k.Record = func(t circuit.Tick, g circuit.GateID, v V) {
-			record(l.id, t, g, v)
-		}
+		l.k.Record = l.rec.Record
 		if seedState != nil {
 			seedState(l.k)
 		}
@@ -544,11 +562,11 @@ func runCore[V comparable](
 	}
 	if seedState == nil {
 		initCnt := make([]int, n)
-		for _, ch := range stimEvents {
-			if ch.time != 0 {
+		for _, ch := range events {
+			if ch.Time != 0 {
 				continue
 			}
-			ii := idxOf[ch.gate]
+			ii := idxOf[ch.Input]
 			for _, dst := range deliverDst[deliverOff[ii]:deliverOff[ii+1]] {
 				initCnt[dst]++
 			}
@@ -558,12 +576,12 @@ func runCore[V comparable](
 				initial[dst] = make([]kernel.EventT[V], 0, cnt)
 			}
 		}
-		for _, ch := range stimEvents {
-			if ch.time > until {
+		for _, ch := range events {
+			if ch.Time > until {
 				continue
 			}
-			ev := kernel.EventT[V]{Gate: ch.gate, Value: ch.value}
-			ii := idxOf[ch.gate]
+			ev := kernel.EventT[V]{Gate: ch.Input, Value: ch.Value}
+			ii := idxOf[ch.Input]
 			for _, dst := range deliverDst[deliverOff[ii]:deliverOff[ii+1]] {
 				// Each shard routes only to its own LPs: every worker holds
 				// the full stimulus, so remote destinations are someone
@@ -571,10 +589,10 @@ func runCore[V comparable](
 				if !local(dst) {
 					continue
 				}
-				if ch.time == 0 {
+				if ch.Time == 0 {
 					initial[dst] = append(initial[dst], ev)
 				} else {
-					lps[dst].q.Push(uint64(ch.time), ev)
+					lps[dst].q.Push(uint64(ch.Time), ev)
 				}
 			}
 		}
@@ -584,22 +602,22 @@ func runCore[V comparable](
 		// owning a consumer (the same ghost-update rule as stimulus
 		// routing); all times are strictly after the boundary, so nothing
 		// lands in the settle step.
-		for _, ev := range bootEvents {
-			kev := kernel.EventT[V]{Gate: ev.gate, Value: ev.value}
-			seen[owner[ev.gate]] = true
-			if local(owner[ev.gate]) {
-				lps[owner[ev.gate]].q.Push(uint64(ev.time), kev)
+		for _, ev := range events {
+			kev := kernel.EventT[V]{Gate: ev.Input, Value: ev.Value}
+			seen[owner[ev.Input]] = true
+			if local(owner[ev.Input]) {
+				lps[owner[ev.Input]].q.Push(uint64(ev.Time), kev)
 			}
-			for _, fo := range c.Fanout[ev.gate] {
+			for _, fo := range c.Fanout[ev.Input] {
 				if b := owner[fo]; !seen[b] {
 					seen[b] = true
 					if local(b) {
-						lps[b].q.Push(uint64(ev.time), kev)
+						lps[b].q.Push(uint64(ev.Time), kev)
 					}
 				}
 			}
-			seen[owner[ev.gate]] = false
-			for _, fo := range c.Fanout[ev.gate] {
+			seen[owner[ev.Input]] = false
+			for _, fo := range c.Fanout[ev.Input] {
 				seen[owner[fo]] = false
 			}
 		}
@@ -932,11 +950,15 @@ func (l *clp[V]) run(initialEvents []kernel.EventT[V]) {
 			l.nextPub.Store(uint64(l.nextLocal()))
 			l.sh.blockedCnt.Add(1)
 			l.buf, ok = l.sh.inboxes[l.id].WaitDrain(l.buf[:0])
-			// Wake order matters: bump the generation before leaving the
-			// blocked count, and leave the count before touching transit
-			// (which happens when value messages are handled below).
-			l.wakeGen.Add(1)
+			// Wake order matters: leave the blocked count before touching
+			// transit (which happens when value messages are handled
+			// below) and before bumping the generation. The coordinator
+			// reads a moved generation as "left the blocked count"; in the
+			// other order a woken LP could still count as blocked in the
+			// next round's snapshot, drain that round's permit without
+			// parking, and never move its generation again.
 			l.sh.blockedCnt.Add(-1)
+			l.wakeGen.Add(1)
 		} else {
 			l.buf, ok = l.sh.inboxes[l.id].WaitDrain(l.buf[:0])
 		}

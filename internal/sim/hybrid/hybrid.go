@@ -74,10 +74,11 @@ type Config struct {
 	Adapt *adapt.WindowController
 }
 
-// Result is the outcome of a hybrid run.
-type Result struct {
-	Values   []logic.Value
-	Waveform trace.Waveform
+// ResultOf is the outcome of a hybrid run on value plane V (logic.Value
+// or the 64-lane logic.Word) with waveform type W.
+type ResultOf[V comparable, W ~[]trace.SampleOf[V]] struct {
+	Values   []V
+	Waveform W
 	EndTime  circuit.Tick
 	Stats    stats.RunStats
 	// IntraCritical is each cluster's modeled intra-cluster critical path.
@@ -86,8 +87,35 @@ type Result struct {
 	intraWorkers  int
 }
 
+// Result is the outcome of a scalar hybrid run.
+type Result = ResultOf[logic.Value, trace.Waveform]
+
+// WideResult is the outcome of a wide hybrid run.
+type WideResult = ResultOf[logic.Word, trace.WideWaveform]
+
 // Run simulates c under the stimulus until the given time (inclusive).
 func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Config) (*Result, error) {
+	return run(cfg, "hybrid", func(tc timewarp.Config) (*timewarp.Result, error) {
+		return timewarp.Run(c, stim, until, tc)
+	})
+}
+
+// RunWide is the hierarchical engine on 64 packed lanes: clusters
+// synchronize optimistically with whole-word Time Warp messages while each
+// cluster's sub-workers evaluate the per-timestep dirty set wide. With the
+// kernel's oblivious block sweep armed inside each cluster, a saturated
+// step processes the cluster's whole combinational block across 64 vectors
+// behind one barrier pair.
+func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, cfg Config) (*WideResult, error) {
+	return run(cfg, "hybrid-wide", func(tc timewarp.Config) (*timewarp.WideResult, error) {
+		return timewarp.RunWide(c, stim, until, tc)
+	})
+}
+
+// run configures the inter-cluster optimistic protocol for cfg, runs it
+// through runTW (timewarp.Run or timewarp.RunWide), and prices the result.
+func run[V comparable, W ~[]trace.SampleOf[V]](cfg Config, engine string,
+	runTW func(timewarp.Config) (*timewarp.ResultOf[V, W], error)) (*ResultOf[V, W], error) {
 	if cfg.Partition == nil {
 		return nil, fmt.Errorf("hybrid: Config.Partition is required")
 	}
@@ -103,9 +131,9 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	}
 	sink := cfg.Metrics
 	if sink == nil {
-		sink = metrics.NewRegistry("hybrid")
+		sink = metrics.NewRegistry(engine)
 	}
-	res, err := timewarp.Run(c, stim, until, timewarp.Config{
+	res, err := runTW(timewarp.Config{
 		Partition:    cfg.Partition,
 		Cancellation: cfg.Cancellation,
 		StateSaving:  cfg.StateSaving,
@@ -127,7 +155,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
+	return &ResultOf[V, W]{
 		Values:        res.Values,
 		Waveform:      res.Waveform,
 		EndTime:       res.EndTime,
@@ -140,14 +168,14 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 
 // TotalProcessors reports the modeled machine size: clusters times
 // intra-cluster workers.
-func (r *Result) TotalProcessors() int {
+func (r *ResultOf[V, W]) TotalProcessors() int {
 	return len(r.Stats.LPs) * r.intraWorkers
 }
 
 // ModeledTime prices the run: per cluster, the serial evaluation cost is
 // replaced by the intra-cluster critical path; the slowest cluster plus
 // the inter-cluster GVT overhead bounds the run.
-func (r *Result) ModeledTime() float64 {
+func (r *ResultOf[V, W]) ModeledTime() float64 {
 	m := r.cost
 	var worst float64
 	for i, lp := range r.Stats.LPs {

@@ -54,17 +54,24 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-// Result is the outcome of an oblivious run.
-type Result struct {
+// ResultOf is the outcome of an oblivious run on value plane V
+// (logic.Value or the 64-lane logic.Word) with waveform type W.
+type ResultOf[V comparable, W ~[]trace.SampleOf[V]] struct {
 	// Values holds the settled value of every net after the last boundary.
-	Values []logic.Value
+	Values []V
 	// Waveform holds the settled values of watched nets sampled at each
-	// stimulus boundary where they changed.
-	Waveform trace.Waveform
+	// stimulus boundary where they changed (in any lane, for a wide run).
+	Waveform W
 	// Cycles is the number of boundaries evaluated.
 	Cycles int
 	Stats  stats.RunStats
 }
+
+// Result is the outcome of a scalar oblivious run.
+type Result = ResultOf[logic.Value, trace.Waveform]
+
+// WideResult is the outcome of a wide oblivious run.
+type WideResult = ResultOf[logic.Word, trace.WideWaveform]
 
 // Run evaluates the circuit at every stimulus boundary.
 func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error) {
@@ -74,6 +81,33 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 	if cfg.System == 0 {
 		cfg.System = logic.NineValued
 	}
+	return run[logic.Value, trace.Waveform](c, cfg, "oblivious", circuit.ScalarPlane, stim.Project(cfg.System))
+}
+
+// RunWide is the levelized compiled-mode sweep over 64 packed lanes: at
+// every stimulus boundary every gate is evaluated once on all 64 vectors —
+// the evaluation order (sequential elements first, then combinational
+// levels) is identical to the scalar Run, so each lane settles to exactly
+// the scalar oblivious result for that lane's stimulus. This is the purest
+// form of the wide win: the per-boundary evaluation count is unchanged
+// while the vector throughput is multiplied by the lane count.
+func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, cfg Config) (*WideResult, error) {
+	if err := stim.Validate(c); err != nil {
+		return nil, err
+	}
+	if cfg.System == 0 {
+		cfg.System = logic.FourValued
+	}
+	if err := logic.CheckWide(cfg.System); err != nil {
+		return nil, err
+	}
+	return run[logic.Word, trace.WideWaveform](c, cfg, "oblivious-wide", circuit.WidePlane, stim.Changes)
+}
+
+// run is the levelized sweep on value plane V over pre-projected stimulus
+// changes.
+func run[V comparable, W ~[]trace.SampleOf[V]](c *circuit.Circuit, cfg Config, engine string,
+	plane circuit.Plane[V], stim []vectors.ChangeOf[V]) (*ResultOf[V, W], error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
@@ -82,7 +116,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 	}
 	sink := cfg.Metrics
 	if sink == nil {
-		sink = metrics.NewRegistry("oblivious")
+		sink = metrics.NewRegistry(engine)
 	}
 	st := c.ComputeStats()
 	if st.Latches > 0 {
@@ -94,7 +128,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 	}
 	start := time.Now()
 
-	val, prevClk := circuit.InitState(c, cfg.System)
+	val, prevClk := plane.InitState(c, cfg.System)
 	watched := cfg.Watch
 	if watched == nil {
 		watched = c.Outputs
@@ -119,7 +153,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 		}
 	}
 
-	res := &Result{}
+	res := &ResultOf[V, W]{}
 	blocks := make([]*metrics.LPBlock, cfg.Workers)
 	shards := make([]*trace.Shard, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
@@ -127,15 +161,18 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 		shards[w] = cfg.Tracer.Shard(fmt.Sprintf("worker %d", w))
 	}
 	globals := sink.Globals()
-	var rec trace.Recorder
+	var rec trace.RecorderOf[V]
+	// lastRec dedupes boundary samples into genuine changes (whole-word
+	// changes on the wide plane; Lane dedupes per lane).
+	lastRec := append([]V(nil), val...)
 
 	// Group stimulus changes by boundary time.
 	type boundary struct {
 		t       circuit.Tick
-		changes []vectors.Change
+		changes []vectors.ChangeOf[V]
 	}
 	var bounds []boundary
-	for _, ch := range stim.Changes {
+	for _, ch := range stim {
 		if len(bounds) == 0 || bounds[len(bounds)-1].t != ch.Time {
 			bounds = append(bounds, boundary{t: ch.Time})
 		}
@@ -143,12 +180,12 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 	}
 
 	// evalSlice evaluates one contiguous chunk of a level into newVals.
-	newQ := make([]logic.Value, len(c.Gates))
-	newClk := make([]logic.Value, len(c.Gates))
-	evalSlice := func(w int, t circuit.Tick, gates []circuit.GateID, scratch *[]logic.Value) {
+	newQ := make([]V, len(c.Gates))
+	newClk := make([]V, len(c.Gates))
+	evalSlice := func(w int, t circuit.Tick, gates []circuit.GateID, scratch *[]V) {
 		begin := shards[w].Now()
 		for _, g := range gates {
-			out, cs, buf := circuit.EvalGate(c, g, val, prevClk, *scratch)
+			out, cs, buf := plane.EvalGate(c, g, val, prevClk, *scratch)
 			*scratch = buf
 			newQ[g] = out
 			newClk[g] = cs
@@ -156,7 +193,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 		}
 		shards[w].Span(trace.PhaseEvaluate, begin, t)
 	}
-	scratches := make([][]logic.Value, cfg.Workers)
+	scratches := make([][]V, cfg.Workers)
 
 	// A panicking worker is recovered into the run's first error so the
 	// level barrier always completes; the coordinator surfaces it at the
@@ -171,36 +208,58 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 		failMu.Unlock()
 	}
 
+	// Persistent level workers, as in the sync engine: one goroutine per
+	// worker lives for the whole run and evaluates a chunk per level on
+	// command, joined by the WaitGroup. Forking fresh goroutines per
+	// level would pay a goroutine start — and, with the wide evaluator's
+	// deeper frames, a stack copy — at every level of every boundary.
+	type levelCmd struct {
+		t     circuit.Tick
+		gates []circuit.GateID
+	}
+	work := make([]chan levelCmd, cfg.Workers)
+	var lw gosync.WaitGroup
+	for w := range work {
+		ch := make(chan levelCmd, 1)
+		work[w] = ch
+		go func(w int) {
+			for cmd := range ch {
+				func() {
+					defer lw.Done()
+					defer func() {
+						if r := recover(); r != nil {
+							setFail(supervise.FromPanic(engine, w, "eval", cmd.t, r))
+						}
+					}()
+					metrics.Do(sink, engine, w, "eval", func() {
+						evalSlice(w, cmd.t, cmd.gates, &scratches[w])
+					})
+				}()
+			}
+		}(w)
+	}
+	defer func() {
+		for _, ch := range work {
+			close(ch)
+		}
+	}()
+
 	// runLevel evaluates a level (in parallel when configured) and commits.
 	runLevel := func(t circuit.Tick, gates []circuit.GateID) {
 		if cfg.Workers == 1 || len(gates) < 2*cfg.Workers {
 			evalSlice(0, t, gates, &scratches[0])
 		} else {
-			var wg gosync.WaitGroup
 			chunk := (len(gates) + cfg.Workers - 1) / cfg.Workers
 			for w := 0; w < cfg.Workers; w++ {
 				lo := w * chunk
 				if lo >= len(gates) {
 					break
 				}
-				hi := lo + chunk
-				if hi > len(gates) {
-					hi = len(gates)
-				}
-				wg.Add(1)
-				go func(w, lo, hi int) {
-					defer wg.Done()
-					defer func() {
-						if r := recover(); r != nil {
-							setFail(supervise.FromPanic("oblivious", w, "eval", t, r))
-						}
-					}()
-					metrics.Do(sink, "oblivious", w, "eval", func() {
-						evalSlice(w, t, gates[lo:hi], &scratches[w])
-					})
-				}(w, lo, hi)
+				hi := min(lo+chunk, len(gates))
+				lw.Add(1)
+				work[w] <- levelCmd{t, gates[lo:hi]}
 			}
-			wg.Wait()
+			lw.Wait()
 		}
 		globals.Barriers++
 		// Commit. Per-level worst-case chunk cost models the critical path.
@@ -225,7 +284,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 		res.Cycles++
 		blocks[0].Steps++
 		for _, ch := range b.changes {
-			val[ch.Input] = cfg.System.Project(ch.Value)
+			val[ch.Input] = ch.Value
 		}
 		// Sequential elements sample the previous boundary's settled data
 		// before the combinational sweep recomputes it.
@@ -236,7 +295,10 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 			runLevel(b.t, level)
 		}
 		for _, g := range watched {
-			rec.Record(b.t, g, val[g])
+			if val[g] != lastRec[g] {
+				lastRec[g] = val[g]
+				rec.Record(b.t, g, val[g])
+			}
 		}
 	}
 
@@ -247,23 +309,8 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 		return nil, ferr
 	}
 
-	// Deduplicate the sampled waveform into genuine changes.
-	full := trace.Merge(&rec)
-	lastSeen := map[circuit.GateID]logic.Value{}
-	var wf trace.Waveform
-	for _, s := range full {
-		prev, ok := lastSeen[s.Gate]
-		if !ok {
-			prev = cfg.System.Project(circuit.InitialValue(c.Gates[s.Gate].Kind))
-		}
-		if s.Value != prev {
-			wf = append(wf, s)
-			lastSeen[s.Gate] = s.Value
-		}
-	}
-
 	res.Values = val
-	res.Waveform = wf
+	res.Waveform = W(trace.MergeOf(&rec))
 	res.Stats = stats.Collect(sink, time.Since(start))
 	return res, nil
 }

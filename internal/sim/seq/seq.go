@@ -84,12 +84,18 @@ type Config struct {
 	Boot *ckpt.State
 }
 
-// Result is the outcome of a run.
-type Result struct {
+// WideConfig parameterizes a wide (64-lane) run. It is Config: a wide
+// run takes every field except Boot and Checkpoint, because a checkpoint
+// (ckpt.State) holds scalar values.
+type WideConfig = Config
+
+// ResultOf is the outcome of a run on value plane V (logic.Value or the
+// 64-lane logic.Word) with waveform type W.
+type ResultOf[V comparable, W ~[]trace.SampleOf[V]] struct {
 	// Values holds the final value of every net.
-	Values []logic.Value
+	Values []V
 	// Waveform is the committed change history of the watched nets.
-	Waveform trace.Waveform
+	Waveform W
 	// EndTime is the last simulated time processed.
 	EndTime circuit.Tick
 	// CriticalPath is the data-dependency makespan in model nanoseconds
@@ -103,38 +109,122 @@ type Result struct {
 	EvalsByGate []uint64
 }
 
+// Result is the outcome of a scalar run.
+type Result = ResultOf[logic.Value, trace.Waveform]
+
+// WideResult is the outcome of a wide run; lane k of its waveform equals
+// the scalar waveform of lane k's stimulus.
+type WideResult = ResultOf[logic.Word, trace.WideWaveform]
+
 // event is a scheduled net value change. compl carries the event's
 // completion time on the ideal machine when critical-path analysis is on.
-type event struct {
+type event[V comparable] struct {
 	gate  circuit.GateID
-	value logic.Value
+	value V
 	compl float64
 }
 
 // Run simulates c under the stimulus until the given time (inclusive).
 // Events scheduled beyond the horizon are discarded unprocessed.
 func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Config) (*Result, error) {
-	if err := c.CheckEventDriven(); err != nil {
-		return nil, err
-	}
 	if err := stim.Validate(c); err != nil {
 		return nil, err
 	}
 	if cfg.System == 0 {
 		cfg.System = logic.NineValued
 	}
+	var seed func(val, prevClk, projected []logic.Value) []vectors.Change
+	if cfg.Boot != nil {
+		if err := cfg.Boot.Check(c, cfg.System); err != nil {
+			return nil, err
+		}
+		seed = cfg.Boot.Seed
+	}
+	var capture func(circuit.Tick, snapshot[logic.Value]) error
+	if cfg.CheckpointEvery > 0 && cfg.Checkpoint != nil {
+		fp := ckpt.Fingerprint(c)
+		capture = func(b circuit.Tick, s snapshot[logic.Value]) error {
+			st := &ckpt.State{
+				Version: ckpt.Version, Fingerprint: fp,
+				Time: uint64(b), Until: uint64(until), System: uint8(cfg.System),
+				EndTime:   uint64(s.endTime),
+				Vals:      s.val,
+				PrevClk:   s.prevClk,
+				Projected: s.projected,
+				Waveform:  ckpt.FromWaveform(s.waveform),
+				Events:    make([]ckpt.Event, len(s.pending)),
+			}
+			for i, ev := range s.pending {
+				st.Events[i] = ckpt.Event{Time: uint64(ev.Time), Gate: ev.Input, Value: ev.Value}
+			}
+			if cfg.Boot != nil {
+				st.Waveform = append(append([]ckpt.Sample(nil), cfg.Boot.Waveform...), st.Waveform...)
+				st.EndTime = max(st.EndTime, cfg.Boot.EndTime)
+			}
+			return cfg.Checkpoint(st)
+		}
+	}
+	return run[logic.Value, trace.Waveform](c, until, cfg, "seq", circuit.ScalarPlane,
+		stim.Project(cfg.System), seed, capture)
+}
+
+// RunWide simulates all lanes of the wide stimulus in one pass, evaluating
+// 64 vectors per gate operation. The event loop is Run's: an event fires
+// when the word differs from the net's current word in any lane. Because
+// the fired evaluation times are a superset of every lane's scalar
+// evaluation times and gate evaluation is idempotent under unchanged
+// inputs, each lane of the resulting waveform is exactly the scalar
+// reference waveform for that lane's stimulus.
+func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, cfg WideConfig) (*WideResult, error) {
+	if err := stim.Validate(c); err != nil {
+		return nil, err
+	}
+	if cfg.Boot != nil || cfg.Checkpoint != nil {
+		return nil, fmt.Errorf("seq: wide runs cannot boot from or write checkpoints: ckpt.State holds scalar values")
+	}
+	if cfg.System == 0 {
+		cfg.System = logic.FourValued
+	}
+	if err := logic.CheckWide(cfg.System); err != nil {
+		return nil, err
+	}
+	return run[logic.Word, trace.WideWaveform](c, until, cfg, "seq-wide", circuit.WidePlane, stim.Changes, nil, nil)
+}
+
+// snapshot is the engine state at a checkpoint boundary: copies of the
+// three value planes, the waveform recorded so far, and the pending
+// events.
+type snapshot[V comparable] struct {
+	endTime                 circuit.Tick
+	val, prevClk, projected []V
+	waveform                []trace.SampleOf[V]
+	pending                 []vectors.ChangeOf[V]
+}
+
+// run is the sequential event loop on value plane V. It starts from the
+// pre-projected stimulus changes, or, when seed is non-nil, from the
+// planes and pending events seed installs (a checkpoint boot, which skips
+// the time-zero settling pass). capture, when non-nil, receives a
+// snapshot at every Config.CheckpointEvery boundary.
+func run[V comparable, W ~[]trace.SampleOf[V]](c *circuit.Circuit, until circuit.Tick, cfg Config, engine string,
+	plane circuit.Plane[V], stim []vectors.ChangeOf[V],
+	seed func(val, prevClk, projected []V) []vectors.ChangeOf[V],
+	capture func(circuit.Tick, snapshot[V]) error) (*ResultOf[V, W], error) {
+	if err := c.CheckEventDriven(); err != nil {
+		return nil, err
+	}
 	if cfg.Cost == (stats.CostModel{}) {
 		cfg.Cost = stats.DefaultCostModel()
 	}
 	sink := cfg.Metrics
 	if sink == nil {
-		sink = metrics.NewRegistry("seq")
+		sink = metrics.NewRegistry(engine)
 	}
 	blk := sink.LP(0)
 	shard := cfg.Tracer.Shard("lp 0")
 
-	val, prevClk := circuit.InitState(c, cfg.System)
-	projected := make([]logic.Value, len(val))
+	val, prevClk := plane.InitState(c, cfg.System)
+	projected := make([]V, len(val))
 	copy(projected, val)
 
 	watched := cfg.Watch
@@ -146,32 +236,26 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 		isWatched[g] = true
 	}
 
-	q := eventq.New[event](cfg.Queue)
-	if cfg.Boot != nil {
-		if err := cfg.Boot.Check(c, cfg.System); err != nil {
-			return nil, err
-		}
-		copy(val, cfg.Boot.Vals)
-		copy(prevClk, cfg.Boot.PrevClk)
-		copy(projected, cfg.Boot.Projected)
-		for _, ev := range cfg.Boot.Events {
-			q.Push(ev.Time, event{gate: ev.Gate, value: ev.Value})
+	q := eventq.New[event[V]](cfg.Queue)
+	if seed != nil {
+		for _, ev := range seed(val, prevClk, projected) {
+			q.Push(uint64(ev.Time), event[V]{gate: ev.Input, value: ev.Value})
 		}
 	} else {
-		for _, ch := range stim.Changes {
+		for _, ch := range stim {
 			if ch.Time > until {
 				continue
 			}
-			q.Push(uint64(ch.Time), event{gate: ch.Input, value: cfg.System.Project(ch.Value)})
-			projected[ch.Input] = cfg.System.Project(ch.Value)
+			q.Push(uint64(ch.Time), event[V]{gate: ch.Input, value: ch.Value})
+			projected[ch.Input] = ch.Value
 		}
 	}
 
-	res := &Result{}
+	res := &ResultOf[V, W]{}
 	if cfg.Profile {
 		res.EvalsByGate = make([]uint64, len(c.Gates))
 	}
-	var rec trace.Recorder
+	var rec trace.RecorderOf[V]
 
 	// Critical-path state: lastCompl[g] is the ideal-machine completion
 	// time of net g's most recent change.
@@ -186,7 +270,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	stamp := make([]uint64, len(c.Gates))
 	var epoch uint64
 	var dirty []circuit.GateID
-	var scratch []logic.Value
+	var scratch []V
 	var endTime circuit.Tick
 	var totalEvents uint64
 
@@ -212,7 +296,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 			totalEvents++
 			if cfg.MaxEvents > 0 && totalEvents > cfg.MaxEvents {
 				return &supervise.SimError{
-					Engine: "seq", LP: 0, Phase: "evaluate", ModeledTime: t,
+					Engine: engine, LP: 0, Phase: "evaluate", ModeledTime: t,
 					Kind:  supervise.KindEventLimit,
 					Cause: fmt.Errorf("event limit %d exceeded at time %d (oscillation?)", cfg.MaxEvents, t),
 				}
@@ -247,8 +331,8 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 
 		// Phase 2: evaluate affected gates against the settled values.
 		for _, g := range dirty {
-			var out, clkSample logic.Value
-			out, clkSample, scratch = circuit.EvalGate(c, g, val, prevClk, scratch)
+			var out, clkSample V
+			out, clkSample, scratch = plane.EvalGate(c, g, val, prevClk, scratch)
 			prevClk[g] = clkSample
 			blk.Evaluations++
 			if cfg.Profile {
@@ -273,7 +357,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 				continue
 			}
 			projected[g] = out
-			q.Push(uint64(t+c.Gates[g].Delay), event{gate: g, value: out, compl: compl})
+			q.Push(uint64(t+c.Gates[g].Delay), event[V]{gate: g, value: out, compl: compl})
 			blk.EventsScheduled++
 		}
 		blk.Hist(metrics.HistStepEvents).Observe(applied)
@@ -284,56 +368,42 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	// Checkpoint capture: nextCk is the next boundary to snapshot; it is
 	// captured the moment the next pending event is strictly later.
 	var nextCk circuit.Tick
-	if cfg.CheckpointEvery > 0 && cfg.Checkpoint != nil {
+	if cfg.CheckpointEvery > 0 && capture != nil {
 		nextCk = cfg.CheckpointEvery
 		if cfg.Boot != nil {
 			nextCk = (circuit.Tick(cfg.Boot.Time)/cfg.CheckpointEvery + 1) * cfg.CheckpointEvery
 		}
 	}
-	var fp string
-	capture := func(b circuit.Tick) error {
-		if fp == "" {
-			fp = ckpt.Fingerprint(c)
-		}
-		st := &ckpt.State{
-			Version: ckpt.Version, Fingerprint: fp,
-			Time: uint64(b), Until: uint64(until), System: uint8(cfg.System),
-			EndTime:   uint64(endTime),
-			Vals:      append([]logic.Value(nil), val...),
-			PrevClk:   append([]logic.Value(nil), prevClk...),
-			Projected: append([]logic.Value(nil), projected...),
-		}
-		st.Waveform = ckpt.FromWaveform(trace.Merge(&rec))
-		if cfg.Boot != nil {
-			st.Waveform = append(append([]ckpt.Sample(nil), cfg.Boot.Waveform...), st.Waveform...)
-			if cfg.Boot.EndTime > st.EndTime {
-				st.EndTime = cfg.Boot.EndTime
-			}
+	snap := func(b circuit.Tick) error {
+		s := snapshot[V]{
+			endTime:   endTime,
+			val:       append([]V(nil), val...),
+			prevClk:   append([]V(nil), prevClk...),
+			projected: append([]V(nil), projected...),
+			waveform:  trace.MergeOf(&rec),
+			pending:   make([]vectors.ChangeOf[V], 0, q.Len()),
 		}
 		// Snapshot the pending set by draining and requeuing; ResetFloor
 		// lets the ascending repush start below the drain's last pop.
-		tmp := make([]event, 0, q.Len())
-		times := make([]uint64, 0, q.Len())
+		var compls []float64
 		for {
 			t64, ev, ok := q.PopMin()
 			if !ok {
 				break
 			}
-			times = append(times, t64)
-			tmp = append(tmp, ev)
+			s.pending = append(s.pending, vectors.ChangeOf[V]{Time: circuit.Tick(t64), Input: ev.gate, Value: ev.value})
+			compls = append(compls, ev.compl)
 		}
 		q.ResetFloor()
-		st.Events = make([]ckpt.Event, len(tmp))
-		for i, ev := range tmp {
-			st.Events[i] = ckpt.Event{Time: times[i], Gate: ev.gate, Value: ev.value}
-			q.Push(times[i], ev)
+		for i, ev := range s.pending {
+			q.Push(uint64(ev.Time), event[V]{gate: ev.Input, value: ev.Value, compl: compls[i]})
 		}
-		return cfg.Checkpoint(st)
+		return capture(b, s)
 	}
 
 	var runErr error
-	metrics.Do(sink, "seq", 0, "run", func() {
-		if cfg.Boot == nil {
+	metrics.Do(sink, engine, 0, "run", func() {
+		if seed == nil {
 			if runErr = step(0, true); runErr != nil {
 				return
 			}
@@ -345,7 +415,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 				break
 			}
 			for nextCk > 0 && t > nextCk && nextCk <= until {
-				if runErr = capture(nextCk); runErr != nil {
+				if runErr = snap(nextCk); runErr != nil {
 					return
 				}
 				nextCk += cfg.CheckpointEvery
@@ -355,7 +425,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 			}
 			if err := q.Err(); err != nil {
 				runErr = &supervise.SimError{
-					Engine: "seq", LP: 0, Phase: "eventq", ModeledTime: t,
+					Engine: engine, LP: 0, Phase: "eventq", ModeledTime: t,
 					Kind: supervise.KindCausality, Cause: err,
 				}
 				return
@@ -367,7 +437,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	}
 
 	res.Values = val
-	res.Waveform = trace.Merge(&rec)
+	res.Waveform = W(trace.MergeOf(&rec))
 	res.EndTime = endTime
 	res.Counters = blk.LPCounters
 	return res, nil
@@ -378,6 +448,15 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 // maximum gate delay (enough for the last vector to propagate to the
 // outputs through any path, plus slack for sequential feedback).
 func Horizon(c *circuit.Circuit, stim *vectors.Stimulus) circuit.Tick {
+	return horizon(c, stim.End)
+}
+
+// WideHorizon is Horizon for a wide stimulus.
+func WideHorizon(c *circuit.Circuit, stim *vectors.WideStimulus) circuit.Tick {
+	return horizon(c, stim.End)
+}
+
+func horizon(c *circuit.Circuit, end circuit.Tick) circuit.Tick {
 	depth := circuit.Tick(1)
 	if levels, err := c.Levelize(); err == nil {
 		depth = circuit.Tick(len(levels) + 2)
@@ -386,5 +465,5 @@ func Horizon(c *circuit.Circuit, stim *vectors.Stimulus) circuit.Tick {
 	if max == 0 {
 		max = 1
 	}
-	return stim.End + 4*depth*max
+	return end + 4*depth*max
 }

@@ -100,3 +100,29 @@ func TestRunWideRejectsNineValued(t *testing.T) {
 		t.Fatal("nine-valued wide run unexpectedly succeeded")
 	}
 }
+
+// TestRunWideValidatesStimulus pins the wide stimulus checks scalar Run
+// already makes: a change that drives an internal gate, or a gate outside
+// the circuit, is an error, not a silent success or an index panic.
+func TestRunWideValidatesStimulus(t *testing.T) {
+	c, err := gen.RippleAdder(8, gen.Unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	internal := c.Outputs[0]
+	cases := []struct {
+		name string
+		ch   vectors.WideChange
+	}{
+		{"internal-gate", vectors.WideChange{Time: 0, Input: internal, Value: logic.Splat(logic.One)}},
+		{"out-of-range", vectors.WideChange{Time: 0, Input: circuit.GateID(len(c.Gates) + 5), Value: logic.Splat(logic.One)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ws := &vectors.WideStimulus{Changes: []vectors.WideChange{tc.ch}, End: 10, Lanes: 4}
+			if _, err := RunWide(c, ws, 100, WideConfig{System: logic.TwoValued}); err == nil {
+				t.Fatal("invalid wide stimulus accepted")
+			}
+		})
+	}
+}

@@ -84,31 +84,38 @@ type RebalanceConfig struct {
 	Fraction float64
 }
 
-// Result is the outcome of a synchronous run.
-type Result struct {
-	Values   []logic.Value
-	Waveform trace.Waveform
+// ResultOf is the outcome of a synchronous run on value plane V
+// (logic.Value or the 64-lane logic.Word) with waveform type W.
+type ResultOf[V comparable, W ~[]trace.SampleOf[V]] struct {
+	Values   []V
+	Waveform W
 	EndTime  circuit.Tick
 	Stats    stats.RunStats
 	// Migrations counts gates moved by dynamic load balancing.
 	Migrations uint64
 }
 
+// Result is the outcome of a scalar synchronous run.
+type Result = ResultOf[logic.Value, trace.Waveform]
+
+// WideResult is the outcome of a wide synchronous run.
+type WideResult = ResultOf[logic.Word, trace.WideWaveform]
+
 // event is a scheduled net change local to one LP.
-type event struct {
+type event[V comparable] struct {
 	gate  circuit.GateID
-	value logic.Value
+	value V
 }
 
 // lp is one logical process worker.
-type lp struct {
+type lp[V comparable] struct {
 	id      int
 	gates   []circuit.GateID
-	q       eventq.Queue[event]
+	q       eventq.Queue[event[V]]
 	dirty   []circuit.GateID
 	stamp   []uint64
-	scratch []logic.Value
-	rec     trace.Recorder
+	scratch []V
+	rec     trace.RecorderOf[V]
 	st      *metrics.LPBlock
 	sh      *trace.Shard
 	// outbox[dst] accumulates dirty-gate notifications for LP dst during
@@ -121,6 +128,51 @@ type lp struct {
 
 // Run simulates c under the stimulus until the given time (inclusive).
 func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Config) (*Result, error) {
+	if err := stim.Validate(c); err != nil {
+		return nil, err
+	}
+	if cfg.System == 0 {
+		cfg.System = logic.NineValued
+	}
+	var seed func(val, prevClk, projected []logic.Value) []vectors.Change
+	if cfg.Boot != nil {
+		if err := cfg.Boot.Check(c, cfg.System); err != nil {
+			return nil, err
+		}
+		seed = cfg.Boot.Seed
+	}
+	return run[logic.Value, trace.Waveform](c, until, cfg, "sync", circuit.ScalarPlane, stim.Project(cfg.System), seed)
+}
+
+// RunWide is the synchronous engine on 64 packed lanes: the identical
+// two-phase barrier protocol, with every net change carrying a whole word
+// and every evaluation processing 64 vectors. Events fire when any lane
+// changes, so per-step work is the union of the lanes' scalar work — one
+// barrier pair now advances 64 vectors instead of one. A wide run cannot
+// boot from a checkpoint: ckpt.State holds scalar values.
+func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, cfg Config) (*WideResult, error) {
+	if err := stim.Validate(c); err != nil {
+		return nil, err
+	}
+	if cfg.Boot != nil {
+		return nil, fmt.Errorf("sync: wide runs cannot boot from a checkpoint: ckpt.State holds scalar values")
+	}
+	if cfg.System == 0 {
+		cfg.System = logic.FourValued
+	}
+	if err := logic.CheckWide(cfg.System); err != nil {
+		return nil, err
+	}
+	return run[logic.Word, trace.WideWaveform](c, until, cfg, "sync-wide", circuit.WidePlane, stim.Changes, nil)
+}
+
+// run is the synchronous protocol on value plane V. It starts from the
+// pre-projected stimulus changes, or, when seed is non-nil, from the
+// planes and pending events seed installs (a checkpoint boot, which skips
+// the time-zero settling step).
+func run[V comparable, W ~[]trace.SampleOf[V]](c *circuit.Circuit, until circuit.Tick, cfg Config, engine string,
+	plane circuit.Plane[V], stim []vectors.ChangeOf[V],
+	seed func(val, prevClk, projected []V) []vectors.ChangeOf[V]) (*ResultOf[V, W], error) {
 	if cfg.Partition == nil {
 		return nil, fmt.Errorf("sync: Config.Partition is required")
 	}
@@ -130,18 +182,12 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	if err := c.CheckEventDriven(); err != nil {
 		return nil, err
 	}
-	if err := stim.Validate(c); err != nil {
-		return nil, err
-	}
-	if cfg.System == 0 {
-		cfg.System = logic.NineValued
-	}
 	if cfg.Cost == (stats.CostModel{}) {
 		cfg.Cost = stats.DefaultCostModel()
 	}
 	sink := cfg.Metrics
 	if sink == nil {
-		sink = metrics.NewRegistry("sync")
+		sink = metrics.NewRegistry(engine)
 	}
 	start := time.Now()
 
@@ -149,16 +195,13 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	numLPs := p.Blocks
 	owner := p.Assign
 
-	val, prevClk := circuit.InitState(c, cfg.System)
-	projected := make([]logic.Value, len(val))
+	val, prevClk := plane.InitState(c, cfg.System)
+	projected := make([]V, len(val))
 	copy(projected, val)
-	if cfg.Boot != nil {
-		if err := cfg.Boot.Check(c, cfg.System); err != nil {
-			return nil, err
-		}
-		copy(val, cfg.Boot.Vals)
-		copy(prevClk, cfg.Boot.PrevClk)
-		copy(projected, cfg.Boot.Projected)
+	if seed != nil {
+		// Checkpoint events go to the target's owner only: the engine
+		// shares one value plane, so there are no ghost copies to feed.
+		stim = seed(val, prevClk, projected)
 	}
 
 	watched := cfg.Watch
@@ -185,13 +228,13 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	}
 	var migrations uint64
 
-	lps := make([]*lp, numLPs)
+	lps := make([]*lp[V], numLPs)
 	blockGates := p.BlockGates()
 	for i := range lps {
-		lps[i] = &lp{
+		lps[i] = &lp[V]{
 			id:     i,
 			gates:  blockGates[i],
-			q:      eventq.New[event](cfg.Queue),
+			q:      eventq.New[event[V]](cfg.Queue),
 			stamp:  make([]uint64, len(c.Gates)),
 			outbox: make([][]circuit.GateID, numLPs),
 			st:     sink.LP(i),
@@ -200,27 +243,19 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	}
 	globals := sink.Globals()
 	coord := cfg.Tracer.Shard("coordinator")
-	if cfg.Boot == nil {
-		for _, ch := range stim.Changes {
-			if ch.Time > until {
-				continue
-			}
-			lps[owner[ch.Input]].q.Push(uint64(ch.Time), event{ch.Input, cfg.System.Project(ch.Value)})
+	for _, ch := range stim {
+		if ch.Time > until {
+			continue
 		}
-	} else {
-		// Checkpoint events go to the target's owner only: the engine
-		// shares one value plane, so there are no ghost copies to feed.
-		for _, ev := range cfg.Boot.Events {
-			lps[owner[ev.Gate]].q.Push(ev.Time, event{ev.Gate, ev.Value})
-		}
+		lps[owner[ch.Input]].q.Push(uint64(ch.Time), event[V]{ch.Input, ch.Value})
 	}
 
 	var epoch uint64
 	var totalEvents atomic.Uint64
-	run := &Result{}
+	run := &ResultOf[V, W]{}
 
 	// phaseA applies this LP's events at time t and routes notifications.
-	phaseA := func(l *lp, t circuit.Tick) {
+	phaseA := func(l *lp[V], t circuit.Tick) {
 		l.phaseWork = 0
 		begin := l.sh.Now()
 		applied := uint64(0)
@@ -255,7 +290,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	}
 
 	// phaseB drains notifications and evaluates affected gates.
-	phaseB := func(l *lp, t circuit.Tick, initial bool) {
+	phaseB := func(l *lp[V], t circuit.Tick, initial bool) {
 		l.phaseWork = 0
 		begin := l.sh.Now()
 		l.dirty = l.dirty[:0]
@@ -293,8 +328,8 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 			}
 		}
 		for _, g := range l.dirty {
-			var out, clkSample logic.Value
-			out, clkSample, l.scratch = circuit.EvalGate(c, g, val, prevClk, l.scratch)
+			var out, clkSample V
+			out, clkSample, l.scratch = plane.EvalGate(c, g, val, prevClk, l.scratch)
 			prevClk[g] = clkSample
 			l.st.Evaluations++
 			if rebalancing {
@@ -305,7 +340,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 				continue
 			}
 			projected[g] = out
-			l.q.Push(uint64(t+c.Gates[g].Delay), event{g, out})
+			l.q.Push(uint64(t+c.Gates[g].Delay), event[V]{g, out})
 			l.st.EventsScheduled++
 			l.phaseWork += cfg.Cost.EventCost
 		}
@@ -347,7 +382,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	for _, l := range lps {
 		ch := make(chan phaseCmd, 1)
 		work[l.id] = ch
-		go func(l *lp, ch chan phaseCmd) {
+		go func(l *lp[V], ch chan phaseCmd) {
 			for cmd := range ch {
 				name := "apply"
 				if cmd.phase != 0 {
@@ -357,10 +392,10 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 					defer pw.Done()
 					defer func() {
 						if r := recover(); r != nil {
-							setFail(supervise.FromPanic("sync", l.id, name, cmd.t, r))
+							setFail(supervise.FromPanic(engine, l.id, name, cmd.t, r))
 						}
 					}()
-					metrics.Do(sink, "sync", l.id, name, func() {
+					metrics.Do(sink, engine, l.id, name, func() {
 						switch cmd.phase {
 						case 0:
 							phaseA(l, cmd.t)
@@ -486,7 +521,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	// gates. A checkpoint resume skips it — the snapshot is already
 	// settled state.
 	epoch++
-	if cfg.Boot == nil {
+	if seed == nil {
 		runPhase(0, 0)
 		runPhase(0, 2)
 		clearOutboxes()
@@ -504,7 +539,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 		for _, l := range lps {
 			if err := l.q.Err(); err != nil {
 				return nil, &supervise.SimError{
-					Engine: "sync", LP: l.id, Phase: "eventq", ModeledTime: endTime,
+					Engine: engine, LP: l.id, Phase: "eventq", ModeledTime: endTime,
 					Kind: supervise.KindCausality, Cause: err,
 				}
 			}
@@ -517,7 +552,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 		}
 		if cfg.MaxEvents > 0 && totalEvents.Load() > cfg.MaxEvents {
 			return nil, &supervise.SimError{
-				Engine: "sync", LP: -1, Phase: "run", ModeledTime: circuit.Tick(next),
+				Engine: engine, LP: -1, Phase: "run", ModeledTime: circuit.Tick(next),
 				Kind:  supervise.KindEventLimit,
 				Cause: fmt.Errorf("event limit %d exceeded at time %d", cfg.MaxEvents, next),
 			}
@@ -541,11 +576,11 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	}
 
 	run.Values = val
-	recs := make([]*trace.Recorder, numLPs)
+	recs := make([]*trace.RecorderOf[V], numLPs)
 	for i, l := range lps {
 		recs[i] = &l.rec
 	}
-	run.Waveform = trace.Merge(recs...)
+	run.Waveform = W(trace.MergeOf(recs...))
 	run.EndTime = endTime
 	run.Migrations = migrations
 	sink.SetGauge("migrations", float64(migrations))

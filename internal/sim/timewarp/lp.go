@@ -52,14 +52,6 @@ type lazyRec[V comparable] struct {
 	createdAt circuit.Tick
 }
 
-// recorderOf abstracts the waveform recorder over the value type:
-// *trace.Recorder for scalar runs, *trace.WideRecorder for wide runs.
-// Rollback needs TruncateFrom, so a bare record callback is not enough.
-type recorderOf[V comparable] interface {
-	Record(t circuit.Tick, g circuit.GateID, v V)
-	TruncateFrom(t circuit.Tick)
-}
-
 // tlp is one Time Warp logical process.
 type tlp[V comparable] struct {
 	id   int
@@ -67,7 +59,7 @@ type tlp[V comparable] struct {
 	cfg  Config
 	k    *kernel.LPT[V]
 	q    eventq.Queue[qevent[V]]
-	rec  recorderOf[V]
+	rec  trace.RecorderOf[V]
 	st   *metrics.LPBlock
 	trsh *trace.Shard
 	slot *supervise.LPSlot // watchdog scoreboard entry; nil-safe when unwatched
@@ -111,13 +103,12 @@ type tlp[V comparable] struct {
 	critEval float64
 }
 
-func newTLP[V comparable](sh *shared[V], id int, k *kernel.LPT[V], rec recorderOf[V], cfg Config) *tlp[V] {
+func newTLP[V comparable](sh *shared[V], id int, k *kernel.LPT[V], cfg Config) *tlp[V] {
 	l := &tlp[V]{
 		id:   id,
 		sh:   sh,
 		cfg:  cfg,
 		k:    k,
-		rec:  rec,
 		q:    eventq.NewCap[qevent[V]](cfg.Queue, 128),
 		dead: map[uint64]bool{},
 		evs:  make([]qevent[V], 0, 32),
@@ -161,9 +152,7 @@ func newTLP[V comparable](sh *shared[V], id int, k *kernel.LPT[V], rec recorderO
 		l.curStep.sent = append(l.curStep.sent, rec)
 		l.buffer(dst, msg[V]{kind: msgValue, from: l.id, id: rec.id, time: t, gate: g, value: v})
 	}
-	k.Record = func(t circuit.Tick, g circuit.GateID, v V) {
-		l.rec.Record(t, g, v)
-	}
+	k.Record = l.rec.Record
 	return l
 }
 

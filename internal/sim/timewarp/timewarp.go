@@ -23,11 +23,11 @@
 // The Time Warp protocol itself — speculation, rollback, anti-messages,
 // GVT, fossil collection — never inspects a signal value; it only moves
 // them, compares them, and saves them. The implementation is therefore
-// generic over the value type: runCore and the tlp machinery in lp.go are
-// instantiated with logic.Value for scalar runs (Run) and logic.Word for
-// 64-lane wide runs (RunWide), with the value-specific pieces (stimulus
-// projection, kernel construction, waveform recording) injected by the two
-// wrappers.
+// generic over the value type: run, runCore and the tlp machinery in lp.go
+// are instantiated with logic.Value for scalar runs (Run) and logic.Word
+// for 64-lane wide runs (RunWide), with the value-specific pieces
+// (stimulus projection, checkpoint boot, kernel construction) injected by
+// the two wrappers.
 package timewarp
 
 import (
@@ -186,10 +186,11 @@ type Config struct {
 	Dist *wire.Seam
 }
 
-// Result is the outcome of an optimistic run.
-type Result struct {
-	Values   []logic.Value
-	Waveform trace.Waveform
+// ResultOf is the outcome of an optimistic run on value plane V
+// (logic.Value or the 64-lane logic.Word) with waveform type W.
+type ResultOf[V comparable, W ~[]trace.SampleOf[V]] struct {
+	Values   []V
+	Waveform W
 	EndTime  circuit.Tick
 	GVT      circuit.Tick
 	Stats    stats.RunStats
@@ -197,6 +198,12 @@ type Result struct {
 	// evaluation critical path (per-step max chunk plus barrier costs).
 	IntraCritical []float64
 }
+
+// Result is the outcome of a scalar optimistic run.
+type Result = ResultOf[logic.Value, trace.Waveform]
+
+// WideResult is the outcome of a wide optimistic run.
+type WideResult = ResultOf[logic.Word, trace.WideWaveform]
 
 // infTick is the "never" timestamp.
 const infTick = circuit.Tick(^uint64(0))
@@ -302,25 +309,8 @@ func (sh *shared[V]) fail(err error) {
 	}
 }
 
-// stimChange is one pre-projected stimulus (or checkpoint) event handed to
-// runCore by a wrapper; the value is already in the run's value domain.
-type stimChange[V comparable] struct {
-	time circuit.Tick
-	gate circuit.GateID
-	value V
-}
-
 // Run simulates c under the stimulus until the given time (inclusive).
 func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Config) (*Result, error) {
-	if cfg.Partition == nil {
-		return nil, fmt.Errorf("timewarp: Config.Partition is required")
-	}
-	if err := cfg.Partition.Validate(c); err != nil {
-		return nil, err
-	}
-	if err := c.CheckEventDriven(); err != nil {
-		return nil, err
-	}
 	if err := stim.Validate(c); err != nil {
 		return nil, err
 	}
@@ -330,70 +320,106 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	if cfg.System == 0 {
 		cfg.System = logic.NineValued
 	}
-	if cfg.Boot != nil {
-		if err := cfg.Boot.Check(c, cfg.System); err != nil {
+	events := stim.Project(cfg.System)
+	var seedState func(k *kernel.LP)
+	if boot := cfg.Boot; boot != nil {
+		if err := boot.Check(c, cfg.System); err != nil {
 			return nil, err
 		}
+		events = boot.Pending()
+		seedState = func(k *kernel.LP) {
+			k.SeedState(boot.Vals, boot.PrevClk, boot.Projected)
+		}
+	}
+	return run[logic.Value, trace.Waveform](c, until, cfg, "timewarp", kernel.New, cfg.Sweep,
+		events, seedState, wireEncScalar, wireDecScalar)
+}
+
+// RunWide is the optimistic engine on 64 packed lanes: the identical Time
+// Warp protocol — speculation, rollback, anti-messages, GVT, fossil
+// collection — with every message, saved state word, and undo record
+// carrying a whole 64-lane word. Rollback restores all lanes at once, so a
+// straggler in any lane repairs every lane together. Inside each LP the
+// kernel's oblivious block sweep is armed: when the lane-union dirty set
+// reaches half the LP's block, the step evaluates the whole owned block in
+// levelized order obliviously-wide — scalar event semantics at LP
+// boundaries, batch evaluation inside. Per lane, the committed result is
+// bit-identical to a scalar optimistic run of that lane's stimulus.
+//
+// A wide run cannot boot from a checkpoint (ckpt.State holds scalar
+// values) or run distributed (wire batches carry scalar values).
+func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, cfg Config) (*WideResult, error) {
+	if err := stim.Validate(c); err != nil {
+		return nil, err
+	}
+	if cfg.Boot != nil {
+		return nil, fmt.Errorf("timewarp: wide runs cannot boot from a checkpoint: ckpt.State holds scalar values")
+	}
+	if cfg.Dist != nil {
+		return nil, fmt.Errorf("timewarp: wide runs cannot run distributed: wire batches carry scalar values")
+	}
+	if cfg.System == 0 {
+		cfg.System = logic.FourValued
+	}
+	if err := logic.CheckWide(cfg.System); err != nil {
+		return nil, err
+	}
+	return run[logic.Word, trace.WideWaveform](c, until, cfg, "timewarp-wide", kernel.NewWide, true,
+		stim.Changes, nil, nil, nil)
+}
+
+// run validates the configuration, runs the protocol on value plane V,
+// and assembles the result. newKernel is kernel.New or kernel.NewWide;
+// sweep arms its oblivious block sweep.
+func run[V comparable, W ~[]trace.SampleOf[V]](c *circuit.Circuit, until circuit.Tick, cfg Config, engine string,
+	newKernel func(c *circuit.Circuit, owner []int, self int, sys logic.System, watched, own []circuit.GateID) *kernel.LPT[V],
+	sweep bool, events []vectors.ChangeOf[V], seedState func(k *kernel.LPT[V]),
+	wireEnc func(msg[V]) wire.Msg, wireDec func(wire.Msg) msg[V]) (*ResultOf[V, W], error) {
+	if cfg.Partition == nil {
+		return nil, fmt.Errorf("timewarp: Config.Partition is required")
+	}
+	if err := cfg.Partition.Validate(c); err != nil {
+		return nil, err
+	}
+	if err := c.CheckEventDriven(); err != nil {
+		return nil, err
 	}
 	sink := cfg.Metrics
 	if sink == nil {
-		sink = metrics.NewRegistry("timewarp")
+		sink = metrics.NewRegistry(engine)
 	}
 	start := time.Now()
 
-	n := cfg.Partition.Blocks
 	owner := cfg.Partition.Assign
 	watched := cfg.Watch
 	if watched == nil {
 		watched = c.Outputs
 	}
-
-	var stimEvents, bootEvents []stimChange[logic.Value]
-	var seedState func(k *kernel.LP)
-	if cfg.Boot == nil {
-		stimEvents = make([]stimChange[logic.Value], 0, len(stim.Changes))
-		for _, ch := range stim.Changes {
-			stimEvents = append(stimEvents, stimChange[logic.Value]{ch.Time, ch.Input, cfg.System.Project(ch.Value)})
-		}
-	} else {
-		boot := cfg.Boot
-		bootEvents = make([]stimChange[logic.Value], 0, len(boot.Events))
-		for _, ev := range boot.Events {
-			bootEvents = append(bootEvents, stimChange[logic.Value]{circuit.Tick(ev.Time), ev.Gate, ev.Value})
-		}
-		seedState = func(k *kernel.LP) {
-			k.SeedState(boot.Vals, boot.PrevClk, boot.Projected)
-		}
-	}
-
-	recs := make([]trace.Recorder, n)
-	lps, sh, gvtRounds, finalGVT, err := runCore(c, until, cfg, sink, "timewarp",
-		stimEvents, bootEvents, seedState, wireEncScalar, wireDecScalar,
-		func(self int, own []circuit.GateID) *kernel.LP {
-			k := kernel.New(c, owner, self, cfg.System, watched, own)
-			if cfg.Sweep {
+	lps, sh, gvtRounds, finalGVT, err := runCore(c, until, cfg, sink, engine, events, seedState, wireEnc, wireDec,
+		func(self int, own []circuit.GateID) *kernel.LPT[V] {
+			k := newKernel(c, owner, self, cfg.System, watched, own)
+			if sweep {
 				k.EnableSweep(kernel.SweepThreshold(len(own)))
 			}
 			return k
-		},
-		func(lp int) recorderOf[logic.Value] { return &recs[lp] })
+		})
 	if err != nil {
 		return nil, err
 	}
 
-	res := &Result{Values: make([]logic.Value, len(c.Gates)), GVT: finalGVT}
+	res := &ResultOf[V, W]{Values: make([]V, len(c.Gates)), GVT: finalGVT}
 	for g := range c.Gates {
 		res.Values[g] = lps[owner[g]].k.Value(circuit.GateID(g))
 	}
-	recPtrs := make([]*trace.Recorder, n)
+	recs := make([]*trace.RecorderOf[V], len(lps))
 	for i, l := range lps {
-		recPtrs[i] = &recs[i]
+		recs[i] = &l.rec
 		res.IntraCritical = append(res.IntraCritical, l.critEval)
 		if l.lvt != infTick && l.lvt > res.EndTime {
 			res.EndTime = l.lvt
 		}
 	}
-	res.Waveform = trace.Merge(recPtrs...)
+	res.Waveform = W(trace.MergeOf(recs...))
 	sink.Globals().GVTRounds = gvtRounds
 	if finalGVT != infTick {
 		sink.SetGauge("final_gvt", float64(finalGVT))
@@ -413,15 +439,14 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 // runCore executes the value-blind Time Warp protocol: LP construction,
 // stimulus/checkpoint routing, the LP goroutines, the GVT coordinator, and
 // abort-to-error mapping. The value-specific pieces arrive as hooks:
-// pre-projected stimulus (or checkpoint) events, an optional state seeder
-// (non-nil exactly when resuming from a checkpoint), a kernel factory, and
-// a recorder factory. On success the caller assembles its result from the
-// returned LPs.
+// pre-projected stimulus events (or, when resuming, the checkpoint's
+// pending events), an optional state seeder (non-nil exactly when
+// resuming from a checkpoint), and a kernel factory. On success the
+// caller assembles its result from the returned LPs.
 func runCore[V comparable](c *circuit.Circuit, until circuit.Tick, cfg Config, sink metrics.Sink,
-	engine string, stimEvents, bootEvents []stimChange[V], seedState func(k *kernel.LPT[V]),
+	engine string, events []vectors.ChangeOf[V], seedState func(k *kernel.LPT[V]),
 	wireEnc func(msg[V]) wire.Msg, wireDec func(wire.Msg) msg[V],
-	newKernel func(self int, own []circuit.GateID) *kernel.LPT[V],
-	newRecorder func(lp int) recorderOf[V]) ([]*tlp[V], *shared[V], uint64, circuit.Tick, error) {
+	newKernel func(self int, own []circuit.GateID) *kernel.LPT[V]) ([]*tlp[V], *shared[V], uint64, circuit.Tick, error) {
 	if cfg.GVTInterval == 0 {
 		cfg.GVTInterval = 50 * time.Millisecond
 	}
@@ -474,7 +499,7 @@ func runCore[V comparable](c *circuit.Circuit, until circuit.Tick, cfg Config, s
 	blockGates := p.BlockGates()
 	lps := make([]*tlp[V], n)
 	for i := 0; i < n; i++ {
-		lps[i] = newTLP(sh, i, newKernel(i, blockGates[i]), newRecorder(i), cfg)
+		lps[i] = newTLP(sh, i, newKernel(i, blockGates[i]), cfg)
 		lps[i].slot = board.LP(i)
 		if seedState != nil {
 			seedState(lps[i].k)
@@ -496,11 +521,11 @@ func runCore[V comparable](c *circuit.Circuit, until circuit.Tick, cfg Config, s
 			}
 			deliverTo[in] = dsts
 		}
-		for _, ch := range stimEvents {
-			if ch.time > until {
+		for _, ch := range events {
+			if ch.Time > until {
 				continue
 			}
-			for _, dst := range deliverTo[ch.gate] {
+			for _, dst := range deliverTo[ch.Input] {
 				// Each shard routes only to its own LPs: every worker
 				// holds the full stimulus, so remote destinations are
 				// someone else's copy of this same loop.
@@ -508,11 +533,11 @@ func runCore[V comparable](c *circuit.Circuit, until circuit.Tick, cfg Config, s
 					continue
 				}
 				l := lps[dst]
-				ev := qevent[V]{gate: ch.gate, value: ch.value, id: l.newID()}
-				if ch.time == 0 {
+				ev := qevent[V]{gate: ch.Input, value: ch.Value, id: l.newID()}
+				if ch.Time == 0 {
 					l.initialEvents = append(l.initialEvents, kernel.EventT[V]{Gate: ev.gate, Value: ev.value})
 				} else {
-					l.q.Push(uint64(ch.time), ev)
+					l.q.Push(uint64(ch.Time), ev)
 				}
 			}
 		}
@@ -521,13 +546,13 @@ func runCore[V comparable](c *circuit.Circuit, until circuit.Tick, cfg Config, s
 		// holding a fanout ghost — the same visibility rule as stimulus,
 		// but checkpoint events can target any gate, not just inputs.
 		seen := map[int]bool{}
-		for _, ev := range bootEvents {
+		for _, ev := range events {
 			for b := range seen {
 				delete(seen, b)
 			}
-			seen[owner[ev.gate]] = true
-			dsts := []int{owner[ev.gate]}
-			for _, fo := range c.Fanout[ev.gate] {
+			seen[owner[ev.Input]] = true
+			dsts := []int{owner[ev.Input]}
+			for _, fo := range c.Fanout[ev.Input] {
 				if b := owner[fo]; !seen[b] {
 					seen[b] = true
 					dsts = append(dsts, b)
@@ -538,7 +563,7 @@ func runCore[V comparable](c *circuit.Circuit, until circuit.Tick, cfg Config, s
 					continue
 				}
 				l := lps[dst]
-				l.q.Push(uint64(ev.time), qevent[V]{gate: ev.gate, value: ev.value, id: l.newID()})
+				l.q.Push(uint64(ev.Time), qevent[V]{gate: ev.Input, value: ev.Value, id: l.newID()})
 			}
 		}
 	}

@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/logic"
+	"repro/internal/partition"
 	"repro/internal/simtest/chaos/inject"
+	"repro/internal/vectors"
 )
 
 // shortSeeds trims the sweep under -short (race CI runs every test with
@@ -121,6 +124,36 @@ func TestBrokenLookaheadCaughtAndShrunk(t *testing.T) {
 	}
 	if !replayed.Failed() {
 		t.Errorf("replay of shrunk repro passed; original failure: %s", o.MinFailure)
+	}
+}
+
+// TestBrokenLookaheadCaughtWide: the sabotage knob reaches the wide
+// conservative engine through the same chaos transport, and its promise
+// checker catches the broken bounds on whole-word messages. The sweep's
+// counter checks compare against scalar sequential work, which a wide
+// engine with its block sweep armed does not reproduce, so the wide case
+// checks the transport verdict directly.
+func TestBrokenLookaheadCaughtWide(t *testing.T) {
+	w, err := WorkloadByName("ripple8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := vectors.Splat(w.C, w.Stim, logic.Lanes, logic.TwoValued)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hook := inject.NewHook(5, inject.NewPlan(5, 4, 16))
+	hook.LookaheadBias = 1
+	_, err = core.SimulateWide(w.C, ws, core.WideHorizon(w.C, ws), core.Options{
+		Engine: core.EngineCMB, LPs: 4, Partition: partition.MethodFM, PartitionSeed: 11,
+		System: logic.TwoValued, Chaos: hook,
+	})
+	v := hook.Violations()
+	if len(v) == 0 {
+		t.Fatalf("biased-lookahead wide engine was not caught (engine error: %v)", err)
+	}
+	if !strings.Contains(v[0], "bound") {
+		t.Errorf("violation does not look like a broken promise: %s", v[0])
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/logic"
+	"repro/internal/partition"
 	"repro/internal/sim/seq"
+	"repro/internal/sim/sync"
 	"repro/internal/sim/timewarp"
 	"repro/internal/trace"
 	"repro/internal/vectors"
@@ -51,6 +53,10 @@ type WideTrial struct {
 	Wide  *vectors.WideStimulus
 	Until circuit.Tick
 	Opts  core.Options
+	// Rebalance, when its Interval is set, runs the sync engine with
+	// dynamic load balancing. core.Options does not carry it, so Check
+	// then calls sync.RunWide directly on the trial's partition.
+	Rebalance sync.RebalanceConfig
 }
 
 // GenWideTrial deterministically derives wide trial i from the config.
@@ -191,7 +197,7 @@ func (tr *WideTrial) Check() error {
 // mismatching lane index (-1 if all lanes agree) and a description of the
 // divergence, or an error if a run itself failed.
 func (tr *WideTrial) checkOnce(ws *vectors.WideStimulus, stims []*vectors.Stimulus) (int, string, error) {
-	wrep, err := core.SimulateWide(tr.C, ws, tr.Until, tr.Opts)
+	wrep, err := tr.run(ws)
 	if err != nil {
 		return -1, "", fmt.Errorf("wide engine run failed: %w", err)
 	}
@@ -215,6 +221,24 @@ func (tr *WideTrial) checkOnce(ws *vectors.WideStimulus, stims []*vectors.Stimul
 		}
 	}
 	return -1, "", nil
+}
+
+// run executes the trial's wide engine on ws.
+func (tr *WideTrial) run(ws *vectors.WideStimulus) (*core.WideReport, error) {
+	if tr.Rebalance.Interval == 0 {
+		return core.SimulateWide(tr.C, ws, tr.Until, tr.Opts)
+	}
+	part, err := partition.New(tr.Opts.Partition, tr.C, tr.Opts.LPs, partition.Options{Seed: tr.Opts.PartitionSeed})
+	if err != nil {
+		return nil, err
+	}
+	res, err := sync.RunWide(tr.C, ws, tr.Until, sync.Config{
+		Partition: part, System: tr.Opts.System, Rebalance: tr.Rebalance,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &core.WideReport{Values: res.Values, Waveform: res.Waveform}, nil
 }
 
 // shrinkLanes minimizes the failing lane set: first the single known-bad
@@ -267,6 +291,10 @@ func (tr *WideTrial) shrinkLanes(firstBad int) ([]int, string) {
 
 // fail wraps a mismatch with everything needed to reproduce the trial.
 func (tr *WideTrial) fail(format string, argv ...any) error {
+	spec := tr.Spec
+	if tr.Rebalance.Interval > 0 {
+		spec += fmt.Sprintf("; rebalance interval=%d", tr.Rebalance.Interval)
+	}
 	return fmt.Errorf("wide lockstep trial %d (seed %d)\n  spec: %s\n  repro: differ.GenWideTrial(differ.WideDiffConfig{Seed: <master>}, %d) with trial seed %d\n  %s",
-		tr.Index, tr.Seed, tr.Spec, tr.Index, tr.Seed, fmt.Sprintf(format, argv...))
+		tr.Index, tr.Seed, spec, tr.Index, tr.Seed, fmt.Sprintf(format, argv...))
 }

@@ -37,22 +37,34 @@ func TestWideLockstepCrossEngine(t *testing.T) {
 // engine, so a regression in a single engine's wide path is reported by
 // name even if the randomized mix under-samples it. The sequential and
 // oblivious wide paths, which the lockstep trials use differently or not
-// at all, get explicit entries.
+// at all, get explicit entries. One more arm runs the sync engine with
+// dynamic load balancing on.
 func TestWideLockstepPerEngineCoverage(t *testing.T) {
 	per := 4
 	if testing.Short() {
 		per = 2
 	}
+	type arm struct {
+		name      string
+		eng       core.Engine
+		rebalance uint64
+	}
+	var arms []arm
 	for _, eng := range WideDiffEngines {
-		eng := eng
-		t.Run(eng.String(), func(t *testing.T) {
+		arms = append(arms, arm{eng.String(), eng, 0})
+	}
+	arms = append(arms, arm{"sync-rebalance", core.EngineSync, 3})
+	for _, a := range arms {
+		a := a
+		t.Run(a.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := WideDiffConfig{Seed: 400 + int64(eng), Engines: []core.Engine{eng}}
+			cfg := WideDiffConfig{Seed: 400 + int64(a.eng), Engines: []core.Engine{a.eng}}
 			for i := 0; i < per; i++ {
 				tr, err := GenWideTrial(cfg, i)
 				if err != nil {
 					t.Fatalf("trial %d: %v", i, err)
 				}
+				tr.Rebalance.Interval = a.rebalance
 				if err := tr.Check(); err != nil {
 					t.Fatal(err)
 				}

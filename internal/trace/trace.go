@@ -11,54 +11,63 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
 )
 
-// Sample is one committed value change on a watched net.
-type Sample struct {
+// SampleOf is one committed value change on a watched net, on value plane
+// V: a scalar logic.Value, or a packed 64-lane logic.Word.
+type SampleOf[V comparable] struct {
 	Time  circuit.Tick
 	Gate  circuit.GateID
-	Value logic.Value
+	Value V
 }
+
+// Sample is one committed scalar value change on a watched net.
+type Sample = SampleOf[logic.Value]
 
 // Waveform is a canonical change history: samples sorted by (Time, Gate).
 type Waveform []Sample
 
-// Recorder accumulates samples in nondecreasing time order. The zero value
-// is ready to use. Recorders are not safe for concurrent use; parallel
-// engines keep one per logical process and merge at the end.
-type Recorder struct {
-	samples []Sample
+// RecorderOf accumulates samples in nondecreasing time order. The zero
+// value is ready to use. Recorders are not safe for concurrent use;
+// parallel engines keep one per logical process and merge at the end.
+type RecorderOf[V comparable] struct {
+	samples []SampleOf[V]
 }
+
+// Recorder is the scalar recorder.
+type Recorder = RecorderOf[logic.Value]
 
 // Record appends a change. Callers record only genuine changes (the new
 // value differs from the net's previous committed value); engines already
 // track net values, so the recorder does not duplicate that bookkeeping.
-func (r *Recorder) Record(t circuit.Tick, g circuit.GateID, v logic.Value) {
-	r.samples = append(r.samples, Sample{t, g, v})
+func (r *RecorderOf[V]) Record(t circuit.Tick, g circuit.GateID, v V) {
+	r.samples = append(r.samples, SampleOf[V]{t, g, v})
 }
 
 // TruncateFrom discards all samples with Time >= t. It is how Time Warp
 // unwinds speculative output on rollback; samples are appended in
 // nondecreasing time order, so truncation is a suffix cut.
-func (r *Recorder) TruncateFrom(t circuit.Tick) {
+func (r *RecorderOf[V]) TruncateFrom(t circuit.Tick) {
 	i := sort.Search(len(r.samples), func(i int) bool { return r.samples[i].Time >= t })
 	r.samples = r.samples[:i]
 }
 
 // Len returns the number of recorded samples.
-func (r *Recorder) Len() int { return len(r.samples) }
+func (r *RecorderOf[V]) Len() int { return len(r.samples) }
 
-// Merge combines recorder shards into one canonical waveform.
-func Merge(recs ...*Recorder) Waveform {
+// MergeOf combines recorder shards into one canonical change history
+// sorted by (Time, Gate).
+func MergeOf[V comparable](recs ...*RecorderOf[V]) []SampleOf[V] {
 	var n int
 	for _, r := range recs {
 		n += len(r.samples)
 	}
-	w := make(Waveform, 0, n)
+	w := make([]SampleOf[V], 0, n)
 	for _, r := range recs {
 		w = append(w, r.samples...)
 	}
@@ -71,18 +80,11 @@ func Merge(recs ...*Recorder) Waveform {
 	return w
 }
 
+// Merge combines scalar recorder shards into one canonical waveform.
+func Merge(recs ...*Recorder) Waveform { return MergeOf(recs...) }
+
 // Equal reports whether two waveforms are identical.
-func Equal(a, b Waveform) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func Equal(a, b Waveform) bool { return slices.Equal(a, b) }
 
 // Diff returns a human-readable description of the first few differences
 // between two waveforms, or "" when they are equal. It is the failure

@@ -18,12 +18,16 @@ import (
 	"repro/internal/logic"
 )
 
-// Change is one primary-input transition.
-type Change struct {
+// ChangeOf is one primary-input transition on value plane V: a scalar
+// logic.Value, or a packed 64-lane logic.Word.
+type ChangeOf[V comparable] struct {
 	Time  circuit.Tick
 	Input circuit.GateID
-	Value logic.Value
+	Value V
 }
+
+// Change is one scalar primary-input transition.
+type Change = ChangeOf[logic.Value]
 
 // Stimulus is a complete input schedule for one simulation run. Changes are
 // sorted by (Time, Input) and include the initial assignment at time zero.
@@ -39,7 +43,7 @@ type Stimulus struct {
 func (s *Stimulus) Sort() { sortChanges(s.Changes) }
 
 // sortChanges establishes the canonical (Time, Input) order.
-func sortChanges(cs []Change) {
+func sortChanges[V comparable](cs []ChangeOf[V]) {
 	sort.Slice(cs, func(i, j int) bool {
 		if cs[i].Time != cs[j].Time {
 			return cs[i].Time < cs[j].Time
@@ -51,19 +55,35 @@ func sortChanges(cs []Change) {
 // Validate checks that the stimulus only drives primary inputs of c and is
 // properly ordered.
 func (s *Stimulus) Validate(c *circuit.Circuit) error {
-	isInput := make(map[circuit.GateID]bool, len(c.Inputs))
+	return validate(c, s.Changes, s.End, func(v logic.Value) bool { return v.Valid() })
+}
+
+// Project returns the changes with every value projected into sys: the
+// pre-projected events the engines' value-generic cores consume.
+func (s *Stimulus) Project(sys logic.System) []Change {
+	out := make([]Change, len(s.Changes))
+	for i, ch := range s.Changes {
+		out[i] = Change{ch.Time, ch.Input, sys.Project(ch.Value)}
+	}
+	return out
+}
+
+// validate checks that changes drive only primary inputs of c with valid
+// values, in strictly increasing (Time, Input) order, none later than end.
+func validate[V comparable](c *circuit.Circuit, changes []ChangeOf[V], end circuit.Tick, valid func(V) bool) error {
+	isInput := make([]bool, len(c.Gates))
 	for _, in := range c.Inputs {
 		isInput[in] = true
 	}
-	for i, ch := range s.Changes {
-		if !isInput[ch.Input] {
+	for i, ch := range changes {
+		if int(ch.Input) >= len(isInput) || !isInput[ch.Input] {
 			return fmt.Errorf("vectors: change %d drives gate %d which is not a primary input", i, ch.Input)
 		}
-		if !ch.Value.Valid() {
+		if !valid(ch.Value) {
 			return fmt.Errorf("vectors: change %d has invalid value", i)
 		}
 		if i > 0 {
-			prev := s.Changes[i-1]
+			prev := changes[i-1]
 			if ch.Time < prev.Time || (ch.Time == prev.Time && ch.Input < prev.Input) {
 				return fmt.Errorf("vectors: changes out of order at index %d", i)
 			}
@@ -71,8 +91,8 @@ func (s *Stimulus) Validate(c *circuit.Circuit) error {
 				return fmt.Errorf("vectors: duplicate change for input %d at time %d", ch.Input, ch.Time)
 			}
 		}
-		if ch.Time > s.End {
-			return fmt.Errorf("vectors: change %d at time %d beyond End %d", i, ch.Time, s.End)
+		if ch.Time > end {
+			return fmt.Errorf("vectors: change %d at time %d beyond End %d", i, ch.Time, end)
 		}
 	}
 	return nil

@@ -2,22 +2,17 @@ package vectors
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
 )
 
 // WideChange is one primary-input transition of a wide (64-lane) run: at
-// Time the input's packed word becomes Word. The word is complete — lanes
+// Time the input's packed word becomes Value. The word is complete — lanes
 // whose scalar stimulus does not change at Time carry their prior value —
 // so applying wide changes in order reproduces every lane's scalar input
 // waveform exactly.
-type WideChange struct {
-	Time  circuit.Tick
-	Input circuit.GateID
-	Word  logic.Word
-}
+type WideChange = ChangeOf[logic.Word]
 
 // WideStimulus is a complete 64-lane input schedule: Lanes independent
 // scalar stimuli packed into word-valued changes sorted by (Time, Input).
@@ -28,6 +23,16 @@ type WideStimulus struct {
 	// Lanes is the number of meaningful lanes; higher lanes hold their
 	// initial value for the whole run.
 	Lanes int
+}
+
+// Validate is Stimulus.Validate for the wide plane: changes drive only
+// primary inputs of c, in strictly increasing (Time, Input) order, none
+// later than End, and Lanes is in 1..64.
+func (s *WideStimulus) Validate(c *circuit.Circuit) error {
+	if s.Lanes < 1 || s.Lanes > logic.Lanes {
+		return fmt.Errorf("vectors: wide stimulus lane count %d outside [1,%d]", s.Lanes, logic.Lanes)
+	}
+	return validate(c, s.Changes, s.End, func(logic.Word) bool { return true })
 }
 
 // NumVectors counts the distinct change times (vector boundaries) of the
@@ -104,22 +109,12 @@ func Pack(c *circuit.Circuit, stims []*Stimulus, sys logic.System) (*WideStimulu
 			}
 			if next != cur || t == 0 {
 				cur = next
-				out.Changes = append(out.Changes, WideChange{Time: t, Input: in, Word: cur})
+				out.Changes = append(out.Changes, WideChange{Time: t, Input: in, Value: cur})
 			}
 		}
 	}
-	sortWideChanges(out.Changes)
+	sortChanges(out.Changes)
 	return out, nil
-}
-
-// sortWideChanges establishes the canonical (Time, Input) order.
-func sortWideChanges(cs []WideChange) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Time != cs[j].Time {
-			return cs[i].Time < cs[j].Time
-		}
-		return cs[i].Input < cs[j].Input
-	})
 }
 
 // RandomBatch generates lanes independent Random stimuli (lane k seeded
