@@ -94,11 +94,6 @@ func (u *UndoT[V]) Reset() {
 	u.projs = u.projs[:0]
 }
 
-// EvalFunc computes gate id against the val/prevClk planes, reusing
-// scratch as the fanin buffer. circuit.EvalGate and circuit.EvalGateWide
-// are the two instantiations.
-type EvalFunc[V comparable] func(c *circuit.Circuit, id circuit.GateID, val, prevClk []V, scratch []V) (out, clkSample V, buf []V)
-
 // LPT is the state of one logical process over value type V.
 type LPT[V comparable] struct {
 	// Self is this LP's block index; Owner maps gate -> block.
@@ -111,7 +106,7 @@ type LPT[V comparable] struct {
 	projected []V
 	isWatched []bool
 	ownGates  []circuit.GateID
-	eval      EvalFunc[V]
+	eval      func(c *circuit.Circuit, id circuit.GateID, val, prevClk, scratch []V) (out, clkSample V, buf []V)
 
 	stamp   []uint64
 	epoch   uint64
@@ -136,8 +131,9 @@ type LP = LPT[logic.Value]
 // WideLP is the 64-lane logical-process executor.
 type WideLP = LPT[logic.Word]
 
-// newLP wires the common LP fields around pre-built state planes.
-func newLP[V comparable](c *circuit.Circuit, owner []int, self int, val, prevClk []V, eval EvalFunc[V], watched []circuit.GateID, ownGates []circuit.GateID) *LPT[V] {
+// newLP builds an LP executor on the given value plane.
+func newLP[V comparable](c *circuit.Circuit, plane circuit.Plane[V], owner []int, self int, sys logic.System, watched []circuit.GateID, ownGates []circuit.GateID) *LPT[V] {
+	val, prevClk := plane.InitState(c, sys)
 	projected := make([]V, len(val))
 	copy(projected, val)
 	isWatched := make([]bool, len(c.Gates))
@@ -159,7 +155,7 @@ func newLP[V comparable](c *circuit.Circuit, owner []int, self int, val, prevClk
 		projected: projected,
 		isWatched: isWatched,
 		ownGates:  ownGates,
-		eval:      eval,
+		eval:      plane.EvalGate,
 		stamp:     make([]uint64, len(c.Gates)),
 		dirty:     make([]circuit.GateID, 0, 64),
 		scratch:   make([]V, 0, 8),
@@ -169,16 +165,14 @@ func newLP[V comparable](c *circuit.Circuit, owner []int, self int, val, prevClk
 
 // New builds a scalar LP executor for block self of the partition-owner map.
 func New(c *circuit.Circuit, owner []int, self int, sys logic.System, watched []circuit.GateID, ownGates []circuit.GateID) *LP {
-	val, prevClk := circuit.InitState(c, sys)
-	return newLP(c, owner, self, val, prevClk, circuit.EvalGate, watched, ownGates)
+	return newLP(c, circuit.ScalarPlane, owner, self, sys, watched, ownGates)
 }
 
 // NewWide builds a 64-lane LP executor: same ownership and two-phase
 // semantics, but every net holds a packed word and each evaluation
 // processes 64 vectors.
 func NewWide(c *circuit.Circuit, owner []int, self int, sys logic.System, watched []circuit.GateID, ownGates []circuit.GateID) *WideLP {
-	val, prevClk := circuit.InitStateWide(c, sys)
-	return newLP(c, owner, self, val, prevClk, circuit.EvalGateWide, watched, ownGates)
+	return newLP(c, circuit.WidePlane, owner, self, sys, watched, ownGates)
 }
 
 // EnableSweep arms the oblivious block sweep: whenever a step's dirty set
