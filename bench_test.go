@@ -1,5 +1,6 @@
 // Benchmarks regenerating every experiment table (F1, E2..E14) plus
-// per-engine microbenchmarks. Each BenchmarkFigure1/BenchmarkE* entry runs
+// microbenchmarks; the per-engine rows (Engine/*) run under
+// BenchmarkHotPaths from internal/benchsuite. Each BenchmarkFigure1/BenchmarkE* entry runs
 // the corresponding experiment at quick scale and reports headline numbers
 // as custom metrics, so `go test -bench=.` reproduces the full evaluation;
 // `cmd/experiments -full` prints the full-scale tables recorded in
@@ -64,47 +65,6 @@ func BenchmarkEventQueues(b *testing.B)       { benchExperiment(b, "E14") }
 func BenchmarkDynamicBalancing(b *testing.B)  { benchExperiment(b, "E15") }
 func BenchmarkCriticalPath(b *testing.B)      { benchExperiment(b, "E16") }
 func BenchmarkWordParallel(b *testing.B)      { benchExperiment(b, "E17") }
-
-// benchEngine measures raw wall-clock throughput (events/sec) of one
-// engine on a fixed mid-sized workload.
-func benchEngine(b *testing.B, engine core.Engine) {
-	b.Helper()
-	c, err := gen.RandomDAG(gen.RandomConfig{Gates: 2000, Inputs: 32, Outputs: 16, Locality: 0.6, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	stim, err := vectors.Random(c, vectors.RandomConfig{Vectors: 20, Period: 40, Activity: 0.5, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	until := core.Horizon(c, stim)
-	b.ResetTimer()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		rep, err := core.Simulate(c, stim, until, core.Options{
-			Engine: engine, LPs: 8, Partition: partition.MethodFM, System: logic.TwoValued,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if engine == core.EngineSeq {
-			events = rep.SeqWork.EventsApplied
-		} else if tot := rep.Stats.Total(); tot.EventsApplied > 0 {
-			events = tot.EventsApplied
-		} else {
-			// The oblivious engine has no events; count evaluations.
-			events = tot.Evaluations
-		}
-	}
-	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-func BenchmarkEngineSeq(b *testing.B)       { benchEngine(b, core.EngineSeq) }
-func BenchmarkEngineOblivious(b *testing.B) { benchEngine(b, core.EngineOblivious) }
-func BenchmarkEngineSync(b *testing.B)      { benchEngine(b, core.EngineSync) }
-func BenchmarkEngineCMB(b *testing.B)       { benchEngine(b, core.EngineCMB) }
-func BenchmarkEngineTimeWarp(b *testing.B)  { benchEngine(b, core.EngineTimeWarp) }
-func BenchmarkEngineHybrid(b *testing.B)    { benchEngine(b, core.EngineHybrid) }
 
 // BenchmarkSeqBySize reports sequential engine scaling with circuit size.
 func BenchmarkSeqBySize(b *testing.B) {

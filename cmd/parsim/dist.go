@@ -3,139 +3,49 @@ package main
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/dist"
-	"repro/internal/logic"
 	"repro/internal/metrics"
-	"repro/internal/simtest/chaos/netfault"
 	"repro/internal/trace"
 )
-
-// distConfig carries the -dist* flag values into the distributed path.
-type distConfig struct {
-	shards    int
-	exec      string
-	network   string
-	workDir   string
-	restarts  int
-	hbTimeout time.Duration
-	hbEvery   time.Duration
-	mesh      bool
-	ckptDelta bool
-
-	chaosSeed   uint64
-	chaosFaults int
-	chaosKill   bool
-
-	benchPath  string
-	circName   string
-	fineDelays uint64
-	seed       int64
-	vectors    int
-	activity   float64
-	period     uint64
-	engine     string
-	until      uint64
-	lps        int
-	partition  string
-	system     logic.System
-	maxEvents  uint64
-	watchdog   time.Duration
-	ckptEvery  uint64
-	fallback   bool
-
-	vcdPath    string
-	metricsOut string
-	quiet      bool
-	c          *circuit.Circuit
-}
 
 // runDist executes the distributed path: a coordinator in this process,
 // worker shards over sockets (in-process goroutines by default, real
 // parsimd-worker processes with -dist-exec), checkpointed recovery, and
-// optional seeded network chaos.
-func runDist(cfg distConfig) {
-	var spawn dist.Spawner = dist.InProcSpawner{}
-	if cfg.exec != "" {
-		spawn = &dist.ExecSpawner{Bin: cfg.exec, Stderr: os.Stderr}
-	}
-	var plan netfault.Plan
-	if cfg.chaosFaults > 0 {
-		// On a mesh topology roughly half the non-kill faults retarget a
-		// direct worker-to-worker link; hub-only plans keep their meaning.
-		if cfg.mesh {
-			plan = netfault.NewMeshPlan(cfg.chaosSeed, cfg.shards, cfg.chaosFaults, cfg.chaosKill)
-		} else {
-			plan = netfault.NewPlan(cfg.chaosSeed, cfg.shards, cfg.chaosFaults, cfg.chaosKill)
-		}
-		if !cfg.quiet {
-			fmt.Printf("dist chaos: seed=%d faults=%d kills=%d\n", cfg.chaosSeed, len(plan), plan.Kills())
-			for _, f := range plan {
-				fmt.Printf("dist chaos: %s\n", f)
-			}
-		}
-	}
-	reg := metrics.NewRegistry(cfg.engine + "-dist")
-
-	res, err := dist.Run(dist.Options{
-		Shards:           cfg.shards,
-		Engine:           cfg.engine,
-		Bench:            cfg.benchPath,
-		Circuit:          cfg.circName,
-		FineDelays:       cfg.fineDelays,
-		Seed:             cfg.seed,
-		Vectors:          cfg.vectors,
-		Activity:         cfg.activity,
-		Period:           cfg.period,
-		Until:            cfg.until,
-		LPs:              cfg.lps,
-		Partition:        cfg.partition,
-		PartitionSeed:    cfg.seed,
-		System:           cfg.system,
-		MaxEvents:        cfg.maxEvents,
-		HangTimeout:      cfg.watchdog,
-		CheckpointEvery:  cfg.ckptEvery,
-		WorkDir:          cfg.workDir,
-		Restarts:         cfg.restarts,
-		Fallback:         cfg.fallback,
-		HeartbeatTimeout: cfg.hbTimeout,
-		HeartbeatEvery:   cfg.hbEvery,
-		Network:          cfg.network,
-		Mesh:             cfg.mesh,
-		CkptDelta:        cfg.ckptDelta,
-		Plan:             plan,
-		Spawn:            spawn,
-		Metrics:          reg,
-	})
+// optional seeded network chaos. c is the circuit the hub resolves from
+// the same recipe; it names the outputs and the VCD nets.
+func runDist(c *circuit.Circuit, opts dist.Options, vcdPath, metricsOut string, quiet bool) {
+	reg := metrics.NewRegistry(opts.Engine + "-dist")
+	opts.Metrics = reg
+	res, err := dist.Run(opts)
 	fatal(err)
 
 	fmt.Printf("engine=%s-dist shards=%d mode=%s attempts=%d recoveries=%d fallbacks=%d events=%d end=%d\n",
-		cfg.engine, res.Shards, res.FinalMode, res.Attempts, res.Recoveries, res.Fallbacks,
+		opts.Engine, res.Shards, res.FinalMode, res.Attempts, res.Recoveries, res.Fallbacks,
 		res.Events, res.EndTime)
-	if res.Degraded != "" && !cfg.quiet {
+	if res.Degraded != "" && !quiet {
 		fmt.Printf("dist: degraded after shard loss: %s\n", res.Degraded)
 	}
-	if !cfg.quiet {
+	if !quiet {
 		fmt.Printf("final outputs:")
-		for _, o := range cfg.c.Outputs {
-			fmt.Printf(" %s=%v", cfg.c.Gate(o).Name, res.Values[o])
+		for _, o := range c.Outputs {
+			fmt.Printf(" %s=%v", c.Gate(o).Name, res.Values[o])
 		}
 		fmt.Println()
 	}
 
-	if cfg.vcdPath != "" {
-		f, err := os.Create(cfg.vcdPath)
+	if vcdPath != "" {
+		f, err := os.Create(vcdPath)
 		fatal(err)
 		defer f.Close()
-		fatal(trace.WriteVCD(f, cfg.c, cfg.c.Outputs, res.Waveform, "1ns"))
-		if !cfg.quiet {
-			fmt.Printf("wrote %d waveform samples to %s\n", len(res.Waveform), cfg.vcdPath)
+		fatal(trace.WriteVCD(f, c, c.Outputs, res.Waveform, "1ns"))
+		if !quiet {
+			fmt.Printf("wrote %d waveform samples to %s\n", len(res.Waveform), vcdPath)
 		}
 	}
-	if cfg.metricsOut != "" {
-		f, err := os.Create(cfg.metricsOut)
+	if metricsOut != "" {
+		f, err := os.Create(metricsOut)
 		fatal(err)
 		defer f.Close()
 		fatal(reg.Report().WriteJSON(f))

@@ -22,9 +22,9 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/eventq"
 	"repro/internal/gen"
 	"repro/internal/logic"
@@ -35,6 +35,7 @@ import (
 	"repro/internal/sim/ckpt"
 	"repro/internal/sim/timewarp"
 	"repro/internal/simtest/chaos/inject"
+	"repro/internal/simtest/chaos/netfault"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vectors"
@@ -123,7 +124,7 @@ func main() {
 		}
 	}
 
-	c, err := loadCircuit(*benchPath, *circName, *fineDelays, *seed)
+	c, err := gen.Load(*benchPath, *circName, *fineDelays, *seed)
 	fatal(err)
 
 	// The optimizer runs before stimulus generation: primary inputs and
@@ -143,7 +144,7 @@ func main() {
 		}
 	}
 
-	stim, err := makeStimulus(c, *nvectors, *activity, circuit.Tick(*period), *seed)
+	stim, err := vectors.ForCircuit(c, *nvectors, *activity, circuit.Tick(*period), *seed)
 	fatal(err)
 
 	engine, err := core.ParseEngine(*engineName)
@@ -179,21 +180,29 @@ func main() {
 	if *distShards == 0 && (*distMesh || *ckptDelta) {
 		fatal(fmt.Errorf("-dist-mesh and -ckpt-delta require -dist"))
 	}
+	if !*quiet {
+		st := c.ComputeStats()
+		fmt.Printf("circuit: %d gates (%d FFs), %d inputs, %d outputs, depth %d, delays %d..%d\n",
+			st.Gates, st.FlipFlops, st.Inputs, st.Outputs, st.CombDepth, st.MinDelay, st.MaxDelay)
+		fmt.Printf("stimulus: %d vectors to t=%d, horizon t=%d\n", stim.NumVectors(), stim.End, until)
+	}
+
 	if *distShards > 0 {
-		// The distributed path regenerates the circuit and stimulus inside
-		// every worker from the job spec, so transformations applied only
-		// in this process (optimizer, cone-split, pre-simulation weights)
-		// and single-process-only machinery (wide, adaptive control,
-		// restore, in-process fault injection) cannot ride along.
+		// The hub builds the plan its workers run from the recipe in
+		// dist.Options (circuit source, stimulus and partition
+		// parameters). The recipe has no optimizer, cone-split or
+		// pre-simulation step and carries scalar values only; restore,
+		// adaptive control and in-process fault injection need the
+		// single-process machinery.
 		switch {
 		case *wide:
 			fatal(fmt.Errorf("-dist does not support -wide (scalar wire format)"))
 		case *optimize || *optPasses != "":
-			fatal(fmt.Errorf("-dist does not support -opt: workers regenerate the unoptimized netlist from the job spec"))
+			fatal(fmt.Errorf("-dist does not support -opt: the hub builds its plan from the circuit recipe, which has no optimizer step"))
 		case *coneSplit:
-			fatal(fmt.Errorf("-dist does not support -cone-split"))
+			fatal(fmt.Errorf("-dist does not support -cone-split: the hub's plan partitions with -partition only"))
 		case *presim:
-			fatal(fmt.Errorf("-dist does not support -presim"))
+			fatal(fmt.Errorf("-dist does not support -presim: the hub's plan partitions without pre-simulation weights"))
 		case *restore != "":
 			fatal(fmt.Errorf("-dist does not support -restore (recovery boots from its own shard checkpoints)"))
 		case *adaptive || *adaptSpec != "":
@@ -201,24 +210,36 @@ func main() {
 		case *faultPanicLP >= 0 || *faultHangLP >= 0 || *faultBias > 0:
 			fatal(fmt.Errorf("-dist does not support in-process fault injection (use -dist-chaos-*)"))
 		}
-		if !*quiet {
-			st := c.ComputeStats()
-			fmt.Printf("circuit: %d gates (%d FFs), %d inputs, %d outputs, depth %d, delays %d..%d\n",
-				st.Gates, st.FlipFlops, st.Inputs, st.Outputs, st.CombDepth, st.MinDelay, st.MaxDelay)
-			fmt.Printf("stimulus: %d vectors to t=%d, horizon t=%d\n", stim.NumVectors(), stim.End, until)
+		dopts := dist.Options{
+			Shards: *distShards, Engine: *engineName,
+			Bench: *benchPath, Circuit: *circName, FineDelays: *fineDelays, Seed: *seed,
+			Vectors: *nvectors, Activity: *activity, Period: *period, Until: uint64(until),
+			LPs: *lps, Partition: *partName, PartitionSeed: *seed,
+			System: sys, MaxEvents: *maxEvents, HangTimeout: *watchdog,
+			CheckpointEvery: *ckptEvery, WorkDir: *distWorkDir,
+			Restarts: *distRestarts, Fallback: *fallback,
+			HeartbeatTimeout: *distHBTimeout, HeartbeatEvery: *distHBEvery,
+			Network: *distNetwork, Mesh: *distMesh, CkptDelta: *ckptDelta,
 		}
-		runDist(distConfig{
-			shards: *distShards, exec: *distExec, network: *distNetwork,
-			workDir: *distWorkDir, restarts: *distRestarts, hbTimeout: *distHBTimeout,
-			hbEvery: *distHBEvery, mesh: *distMesh, ckptDelta: *ckptDelta,
-			chaosSeed: *distChaosSeed, chaosFaults: *distChaosFaults, chaosKill: *distChaosKill,
-			benchPath: *benchPath, circName: *circName, fineDelays: *fineDelays,
-			seed: *seed, vectors: *nvectors, activity: *activity, period: *period,
-			engine: *engineName, until: uint64(until), lps: *lps, partition: *partName,
-			system: sys, maxEvents: *maxEvents, watchdog: *watchdog,
-			ckptEvery: *ckptEvery, fallback: *fallback,
-			vcdPath: *vcdPath, metricsOut: *metricsOut, quiet: *quiet, c: c,
-		})
+		if *distExec != "" {
+			dopts.Spawn = &dist.ExecSpawner{Bin: *distExec, Stderr: os.Stderr}
+		}
+		if *distChaosFaults > 0 {
+			// On a mesh topology roughly half the non-kill faults retarget a
+			// direct worker-to-worker link; hub-only plans keep their meaning.
+			newPlan := netfault.NewPlan
+			if *distMesh {
+				newPlan = netfault.NewMeshPlan
+			}
+			dopts.Plan = newPlan(*distChaosSeed, *distShards, *distChaosFaults, *distChaosKill)
+			if !*quiet {
+				fmt.Printf("dist chaos: seed=%d faults=%d kills=%d\n", *distChaosSeed, len(dopts.Plan), dopts.Plan.Kills())
+				for _, f := range dopts.Plan {
+					fmt.Printf("dist chaos: %s\n", f)
+				}
+			}
+		}
+		runDist(c, dopts, *vcdPath, *metricsOut, *quiet)
 		return
 	}
 
@@ -287,13 +308,6 @@ func main() {
 		sp, err := adapt.ParseSpec(*adaptSpec)
 		fatal(err)
 		opts.Adapt = sp
-	}
-
-	st := c.ComputeStats()
-	if !*quiet {
-		fmt.Printf("circuit: %d gates (%d FFs), %d inputs, %d outputs, depth %d, delays %d..%d\n",
-			st.Gates, st.FlipFlops, st.Inputs, st.Outputs, st.CombDepth, st.MinDelay, st.MaxDelay)
-		fmt.Printf("stimulus: %d vectors to t=%d, horizon t=%d\n", stim.NumVectors(), stim.End, until)
 	}
 
 	// simulate runs the selected value plane; the output below shows a
@@ -429,65 +443,21 @@ func addOptGauges(rep *metrics.Report, st *opt.Stats) {
 	rep.Gauges["levels_after"] = float64(st.LevelsAfter)
 }
 
-// makeWideStimulus is makeStimulus on the wide plane: lanes independent
-// clocked or random batches sharing the clock waveform but differently
-// seeded, packed into word-valued changes.
+// makeWideStimulus is vectors.ForCircuit on the wide plane: lanes
+// independent clocked or random batches sharing the clock waveform but
+// differently seeded, packed into word-valued changes.
 func makeWideStimulus(c *circuit.Circuit, lanes, vecs int, activity float64,
 	period circuit.Tick, seed int64, sys logic.System) (*vectors.WideStimulus, error) {
-	for _, clk := range []string{"clk", "CLK", "__CLK"} {
-		if _, ok := c.ByName(clk); ok && isInput(c, clk) {
-			ws, _, err := vectors.ClockedBatch(c, vectors.ClockedConfig{
-				Clock: clk, Cycles: vecs, HalfPeriod: period, Activity: activity, Seed: seed,
-			}, lanes, sys)
-			return ws, err
-		}
+	if clk := vectors.ClockInput(c); clk != "" {
+		ws, _, err := vectors.ClockedBatch(c, vectors.ClockedConfig{
+			Clock: clk, Cycles: vecs, HalfPeriod: period, Activity: activity, Seed: seed,
+		}, lanes, sys)
+		return ws, err
 	}
 	ws, _, err := vectors.RandomBatch(c, vectors.RandomConfig{
 		Vectors: vecs, Period: period, Activity: activity, Seed: seed,
 	}, lanes, sys)
 	return ws, err
-}
-
-// loadCircuit resolves the circuit source.
-func loadCircuit(benchPath, name string, fine uint64, seed int64) (*circuit.Circuit, error) {
-	if benchPath != "" {
-		f, err := os.Open(benchPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return bench.Read(f)
-	}
-	delays := gen.Unit
-	if fine > 0 {
-		delays = gen.Fine(circuit.Tick(fine), seed)
-	}
-	return gen.ByName(name, delays, seed)
-}
-
-// makeStimulus builds clocked stimulus when the circuit has a clock input,
-// random vectors otherwise.
-func makeStimulus(c *circuit.Circuit, vecs int, activity float64, period circuit.Tick, seed int64) (*vectors.Stimulus, error) {
-	for _, clk := range []string{"clk", "CLK", "__CLK"} {
-		if _, ok := c.ByName(clk); ok {
-			if isInput(c, clk) {
-				return vectors.Clocked(c, vectors.ClockedConfig{
-					Clock: clk, Cycles: vecs, HalfPeriod: period, Activity: activity, Seed: seed,
-				})
-			}
-		}
-	}
-	return vectors.Random(c, vectors.RandomConfig{
-		Vectors: vecs, Period: period, Activity: activity, Seed: seed,
-	})
-}
-
-func isInput(c *circuit.Circuit, name string) bool {
-	id, ok := c.ByName(name)
-	if !ok {
-		return false
-	}
-	return c.Gate(id).Kind == circuit.Input
 }
 
 func fatal(err error) {

@@ -1,6 +1,7 @@
 // Command parsimd-worker is one shard of a distributed parsim run. It
 // is launched by the coordinator (parsim -dist with -dist-exec), dials
-// back over TCP or a unix socket, receives its job spec, and simulates
+// back over TCP or a unix socket, receives its job (the run's plan and its
+// place in the fleet), checks the plan's fingerprint, and simulates
 // the LPs its shard owns. It is not meant to be run by hand; a captured
 // job can nonetheless be replayed by pointing a worker at a listening
 // coordinator.

@@ -13,8 +13,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/bench"
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/logic"
@@ -32,7 +30,7 @@ func main() {
 	)
 	flag.Parse()
 
-	c, err := load(*benchPath, *circName, *seed)
+	c, err := gen.Load(*benchPath, *circName, 0, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "partstat:", err)
 		os.Exit(1)
@@ -71,16 +69,4 @@ func main() {
 		fmt.Printf("%-12s %10d %12.3f %12.3f %10v\n",
 			m, p.CutLinks(c), p.Imbalance(uniform), p.Imbalance(judge), el.Round(time.Microsecond))
 	}
-}
-
-func load(benchPath, name string, seed int64) (*circuit.Circuit, error) {
-	if benchPath != "" {
-		f, err := os.Open(benchPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return bench.Read(f)
-	}
-	return gen.ByName(name, gen.Unit, seed)
 }

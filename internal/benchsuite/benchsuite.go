@@ -11,7 +11,6 @@
 package benchsuite
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -649,5 +648,3 @@ func Names() []string {
 	}
 	return out
 }
-
-var _ = fmt.Sprintf // keep fmt for future use

@@ -5,7 +5,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/gen"
 	"repro/internal/metrics"
+	"repro/internal/vectors"
 )
 
 // Dist returns the distributed-topology rows: the identical sharded
@@ -32,16 +34,11 @@ func Dist() []Benchmark {
 // across every shard boundary so inter-shard traffic dominates.
 func distBenchOpts(b *testing.B, mesh bool, ckptEvery uint64, delta bool) (dist.Options, *metrics.Registry) {
 	b.Helper()
-	j := &dist.Job{
-		Circuit: "ripple32", Seed: 1,
-		Vectors: 12, Activity: 0.5, Period: 40,
-		Partition: "fm",
-	}
-	c, err := j.BuildCircuit()
+	c, err := gen.Load("", "ripple32", 0, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	stim, err := j.BuildStimulus(c)
+	stim, err := vectors.ForCircuit(c, 12, 0.5, 40, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,14 +46,14 @@ func distBenchOpts(b *testing.B, mesh bool, ckptEvery uint64, delta bool) (dist.
 	return dist.Options{
 		Shards:          4,
 		Engine:          "cmb",
-		Circuit:         j.Circuit,
-		Seed:            j.Seed,
-		Vectors:         j.Vectors,
-		Activity:        j.Activity,
-		Period:          j.Period,
+		Circuit:         "ripple32",
+		Seed:            1,
+		Vectors:         12,
+		Activity:        0.5,
+		Period:          40,
 		Until:           uint64(core.Horizon(c, stim)),
 		LPs:             8,
-		Partition:       j.Partition,
+		Partition:       "fm",
 		Mesh:            mesh,
 		CheckpointEvery: ckptEvery,
 		CkptDelta:       delta,

@@ -20,13 +20,9 @@ func (h *hub) fallback(loss *core.SimError) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	lps := h.opts.LPs
-	if lps <= 0 {
-		lps = 4
-	}
 	rep, err := core.Simulate(h.c, h.stim, circuit.Tick(h.opts.Until), core.Options{
 		Engine:        core.EngineSync,
-		LPs:           lps,
+		LPs:           h.opts.LPs,
 		Partition:     method,
 		PartitionSeed: h.opts.PartitionSeed,
 		System:        h.sys,

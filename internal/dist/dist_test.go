@@ -22,29 +22,33 @@ import (
 	"repro/internal/vectors"
 )
 
-// testJob is the shared workload spec: small enough to keep the fleet
-// tests fast, large enough that every shard owns real work.
-func testJob() *Job {
-	return &Job{
-		Circuit: "ripple8", Seed: 1,
+// testOpts is the shared workload recipe for a fleet of the given size:
+// small enough to keep the fleet tests fast, large enough that every
+// shard owns real work.
+func testOpts(shards int) Options {
+	return Options{
+		Shards: shards, Circuit: "ripple8", Seed: 1,
 		Vectors: 15, Activity: 0.5, Period: 40,
-		Partition: "fm",
+		LPs: 2 * shards, Partition: "fm",
 	}
+}
+
+// testWorkload resolves the test recipe exactly as the hub does.
+func testWorkload(t *testing.T, shards int) *workload {
+	t.Helper()
+	wl, err := resolve(testOpts(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wl
 }
 
 // golden runs the sequential reference over the test workload and
 // returns the circuit, stimulus, horizon, and reference result.
 func golden(t *testing.T) (*circuit.Circuit, *vectors.Stimulus, uint64, *seq.Result) {
 	t.Helper()
-	j := testJob()
-	c, err := j.BuildCircuit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stim, err := j.BuildStimulus(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := testWorkload(t, 1)
+	c, stim := wl.c, wl.stim
 	until := core.Horizon(c, stim)
 	ref, err := seq.Run(c, stim, until, seq.Config{System: logic.NineValued})
 	if err != nil {
@@ -56,19 +60,11 @@ func golden(t *testing.T) (*circuit.Circuit, *vectors.Stimulus, uint64, *seq.Res
 // baseOpts builds distributed Options over the test workload.
 func baseOpts(t *testing.T, engine string, shards int, until uint64) Options {
 	t.Helper()
-	j := testJob()
-	return Options{
-		Shards:   shards,
-		Engine:   engine,
-		Circuit:  j.Circuit,
-		Seed:     j.Seed,
-		Vectors:  j.Vectors,
-		Activity: j.Activity,
-		Period:   j.Period,
-		Until:    until,
-		LPs:      2 * shards,
-		WorkDir:  t.TempDir(),
-	}
+	opts := testOpts(shards)
+	opts.Engine = engine
+	opts.Until = until
+	opts.WorkDir = t.TempDir()
+	return opts
 }
 
 // checkMatchesGolden requires the distributed result to agree with the
@@ -220,9 +216,8 @@ func TestDistShardLossFallback(t *testing.T) {
 // multiple of `every` for the test workload.
 func shadowStates(t *testing.T, every uint64) []*ckpt.State {
 	t.Helper()
-	j := testJob()
-	c, _ := j.BuildCircuit()
-	stim, _ := j.BuildStimulus(c)
+	wl := testWorkload(t, 1)
+	c, stim := wl.c, wl.stim
 	var states []*ckpt.State
 	_, err := seq.Run(c, stim, core.Horizon(c, stim), seq.Config{
 		System:          logic.NineValued,
@@ -246,14 +241,8 @@ func shadowStates(t *testing.T, every uint64) []*ckpt.State {
 // and report a fresh start (nil, no error) when every boundary is
 // unusable — a bad snapshot must never wedge recovery.
 func TestLatestBoundarySkipsCorrupt(t *testing.T) {
-	j := testJob()
-	c, _ := j.BuildCircuit()
-	j.Shards = 2
-	j.LPs = 4
-	part, shardOf, err := j.BuildPartition(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := testWorkload(t, 2)
+	c, part, shardOf := wl.c, wl.part, wl.shardOf
 	gateShard := make([]int, c.NumGates())
 	for g := range gateShard {
 		gateShard[g] = shardOf[part.Assign[g]]
@@ -322,14 +311,8 @@ func TestLatestBoundarySkipsCorrupt(t *testing.T) {
 // TestMergeRoundTrip: restricting a real shadow snapshot to each shard
 // and merging the restrictions back must reproduce the full cut exactly.
 func TestMergeRoundTrip(t *testing.T) {
-	j := testJob()
-	c, _ := j.BuildCircuit()
-	j.Shards = 3
-	j.LPs = 6
-	part, shardOf, err := j.BuildPartition(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := testWorkload(t, 3)
+	c, part, shardOf := wl.c, wl.part, wl.shardOf
 	gateShard := make([]int, c.NumGates())
 	for g := range gateShard {
 		gateShard[g] = shardOf[part.Assign[g]]
@@ -374,9 +357,7 @@ func TestMergeRoundTrip(t *testing.T) {
 // be rejected at decode time, before any simulation starts.
 func TestDecodeJobRejectsNonDistributableEngine(t *testing.T) {
 	for _, engine := range []string{"seq", "sync", "hybrid", "cmb-detect", ""} {
-		j := testJob()
-		j.Engine = engine
-		j.Shards, j.LPs = 2, 4
+		j := &Job{Engine: engine, Shards: 2}
 		p, err := j.Encode()
 		if err != nil {
 			t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/dist/wire"
+	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/metrics"
 	"repro/internal/partition"
@@ -32,8 +33,9 @@ type Options struct {
 	// timewarp-lazy.
 	Engine string
 
-	// Workload parameters, forwarded verbatim into every worker's Job so
-	// each shard regenerates the identical circuit and stimulus.
+	// Workload recipe, resolved once by the hub (gen.Load and
+	// vectors.ForCircuit, as the parsim CLI resolves it) into the plan
+	// every worker receives.
 	Bench      string
 	Circuit    string
 	FineDelays uint64
@@ -43,8 +45,8 @@ type Options struct {
 	Period     uint64
 	Until      uint64
 
-	// LPs / Partition / PartitionSeed parameterize the gate partition;
-	// LPs are then grouped onto shards uniformly.
+	// LPs / Partition / PartitionSeed parameterize the gate partition
+	// (default 4 LPs, fm); LPs are then grouped onto shards uniformly.
 	LPs           int
 	Partition     string
 	PartitionSeed int64
@@ -156,7 +158,11 @@ func Run(opts Options) (*Result, error) {
 		return nil, err
 	}
 	defer h.close()
+	return h.run()
+}
 
+// run drives the attempts, every one of them shipping the hub's plan.
+func (h *hub) run() (*Result, error) {
 	var lastErr error
 	for attempt := 0; attempt <= h.opts.Restarts; attempt++ {
 		res, err := h.runAttempt(attempt)
@@ -187,24 +193,22 @@ func Run(opts Options) (*Result, error) {
 }
 
 // recoverableDist reports whether a failed attempt is worth a restart.
-// Everything is, except the event-limit guard: a runaway workload
-// regenerates identically on every attempt.
+// Everything is, except the event-limit guard and a worker's refusal of
+// its job: every attempt runs the same plan, so both would repeat.
 func recoverableDist(err error) bool {
 	var se *supervise.SimError
 	if errors.As(err, &se) {
-		return se.Kind != supervise.KindEventLimit
+		return se.Kind != supervise.KindEventLimit && se.Phase != phaseJob
 	}
 	return true
 }
 
 // hub is the coordinator: listener, workload, and across-attempt state.
 type hub struct {
-	opts      Options
-	c         *circuit.Circuit
-	stim      *vectors.Stimulus
-	part      *partition.Partition
-	shardOf   []int // LP -> shard
-	gateShard []int // gate -> shard
+	opts Options
+	*workload
+	planJSON  json.RawMessage // the workload's plan, encoded once
+	gateShard []int           // gate -> shard
 	sys       logic.System
 
 	ln      net.Listener
@@ -216,8 +220,9 @@ type hub struct {
 	sess *session // the attempt the accept loop routes hellos to
 }
 
-// newHub validates options, rebuilds the workload locally (for shard
-// maps, result merging, and the fallback path), and starts listening.
+// newHub validates options, resolves the workload (the run's one build:
+// its plan is what workers receive, and the hub keeps it for shard maps,
+// result merging, and the fallback path), and starts listening.
 func newHub(opts Options) (*hub, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("dist: need at least one shard, got %d", opts.Shards)
@@ -246,18 +251,22 @@ func newHub(opts Options) (*hub, error) {
 	if opts.Partition == "" {
 		opts.Partition = "fm"
 	}
+	if opts.LPs <= 0 {
+		opts.LPs = 4
+	}
 
 	h := &hub{opts: opts, sys: opts.System}
-	job := h.jobFor(0, 0, "")
 	var err error
-	if h.c, err = job.BuildCircuit(); err != nil {
+	if h.workload, err = resolve(opts); err != nil {
 		return nil, err
 	}
-	if h.stim, err = job.BuildStimulus(h.c); err != nil {
+	if h.planJSON, err = h.workload.encode(); err != nil {
 		return nil, err
 	}
-	if h.part, h.shardOf, err = job.BuildPartition(h.c); err != nil {
-		return nil, err
+	// The plan rides in one FJob frame, next to a few hundred bytes of
+	// other job fields.
+	if len(h.planJSON) > wire.MaxFrame-4096 {
+		return nil, fmt.Errorf("dist: plan of %d bytes does not fit a %d-byte wire frame", len(h.planJSON), wire.MaxFrame)
 	}
 	h.gateShard = make([]int, h.c.NumGates())
 	for g := range h.gateShard {
@@ -289,6 +298,27 @@ func newHub(opts Options) (*hub, error) {
 	return h, nil
 }
 
+// resolve builds the workload from the recipe in o.
+func resolve(o Options) (*workload, error) {
+	c, err := gen.Load(o.Bench, o.Circuit, o.FineDelays, o.Seed)
+	if err != nil {
+		return nil, err
+	}
+	stim, err := vectors.ForCircuit(c, o.Vectors, o.Activity, circuit.Tick(o.Period), o.Seed)
+	if err != nil {
+		return nil, err
+	}
+	method, err := partition.ParseMethod(o.Partition)
+	if err != nil {
+		return nil, err
+	}
+	part, err := partition.New(method, c, o.LPs, partition.Options{Seed: o.PartitionSeed})
+	if err != nil {
+		return nil, err
+	}
+	return &workload{c: c, stim: stim, part: part, shardOf: part.Group(o.Shards, partition.WeightsUniform(c))}, nil
+}
+
 // close releases the listener and (when owned) the work directory.
 func (h *hub) close() {
 	if h.ln != nil {
@@ -309,19 +339,12 @@ func (h *hub) gauge(name string, v float64) {
 // jobFor builds shard s's job for one attempt.
 func (h *hub) jobFor(shard, attempt int, bootPath string) *Job {
 	o := &h.opts
-	lps := o.LPs
-	if lps <= 0 {
-		lps = 4
-	}
 	ckptDir := ""
 	if o.CheckpointEvery > 0 {
 		ckptDir = h.workDir
 	}
 	return &Job{
-		Bench: o.Bench, Circuit: o.Circuit, FineDelays: o.FineDelays, Seed: o.Seed,
-		Vectors: o.Vectors, Activity: o.Activity, Period: o.Period,
-		Engine: o.Engine, Until: o.Until, LPs: lps,
-		Partition: o.Partition, PartitionSeed: o.PartitionSeed,
+		Engine: o.Engine, Until: o.Until,
 		System: uint8(o.System), MaxEvents: o.MaxEvents,
 		HangTimeoutMs: o.HangTimeout.Milliseconds(),
 		HeartbeatMs:   o.HeartbeatEvery.Milliseconds(),
@@ -329,6 +352,7 @@ func (h *hub) jobFor(shard, attempt int, bootPath string) *Job {
 		CheckpointEvery: o.CheckpointEvery, CheckpointDir: ckptDir,
 		Boot: bootPath,
 		Mesh: o.Mesh, MeshDir: h.workDir, CkptDelta: o.CkptDelta,
+		Plan: h.planJSON,
 	}
 }
 

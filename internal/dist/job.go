@@ -15,50 +15,33 @@
 // budget is exhausted the run degrades to a single-process supervised
 // run (sync, then seq) or fails with a structured shard-loss error.
 //
-// Workers do not receive the circuit or the stimulus over the wire:
-// both are regenerated from the job spec's deterministic parameters
-// (generator name, delay seed, stimulus seed), exactly as the parsim
-// CLI builds them, so every shard provably simulates the same workload.
+// Workers do not rebuild the workload. The hub resolves the circuit, the
+// stimulus and the partition once per run, and every FJob frame carries
+// that plan: the netlist, the stimulus, the gate->LP assignment and the
+// LP->shard map, sealed by a content fingerprint. A worker validates the
+// plan and recomputes the fingerprint before it simulates, so shards
+// agree on gate ownership by check rather than by assumption, and a
+// captured job replays with no netlist file or generator at hand.
 package dist
 
 import (
 	"encoding/json"
 	"fmt"
-	"os"
+	"hash/fnv"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/circuit"
-	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/partition"
+	"repro/internal/sim/ckpt"
+	"repro/internal/sim/supervise"
 	"repro/internal/vectors"
 )
 
-// Job is the spec a worker receives in its FJob frame: everything
-// needed to deterministically regenerate the circuit, the stimulus, the
-// partition, and the shard map, plus this worker's place in the fleet.
+// Job is the spec a worker receives in its FJob frame: the engine
+// configuration, this worker's place in the fleet, and the run's plan.
 // It is JSON so a captured job can be replayed by hand.
 type Job struct {
-	// Bench reads the circuit from an ISCAS .bench file; empty uses the
-	// Circuit generator name instead.
-	Bench string `json:"bench,omitempty"`
-	// Circuit is the generator name (gen.ByName: c17, ripple8, mul16, ...).
-	Circuit string `json:"circuit,omitempty"`
-	// FineDelays assigns random delays in [1,N] to generated circuits
-	// (0 = unit delays).
-	FineDelays uint64 `json:"fine_delays,omitempty"`
-	// Seed feeds delay assignment, stimulus generation, and randomized
-	// partitioners; identical seeds regenerate identical workloads.
-	Seed int64 `json:"seed"`
-
-	// Vectors/Activity/Period parameterize the stimulus exactly as the
-	// parsim CLI does (clocked when the circuit has a clock input,
-	// random otherwise).
-	Vectors  int     `json:"vectors"`
-	Activity float64 `json:"activity"`
-	Period   uint64  `json:"period"`
-
 	// Engine is the worker engine: cmb, cmb-demand, timewarp, or
 	// timewarp-lazy. The deadlock-recovery and hybrid variants need
 	// global in-process coordination and do not distribute.
@@ -66,11 +49,6 @@ type Job struct {
 	// Until is the simulation horizon (inclusive), fixed by the hub so
 	// every shard agrees.
 	Until uint64 `json:"until"`
-	// LPs is the total LP count across all shards.
-	LPs int `json:"lps"`
-	// Partition is the partition method name; PartitionSeed feeds it.
-	Partition     string `json:"partition"`
-	PartitionSeed int64  `json:"partition_seed"`
 	// System is the logic value system (2, 4, or 9).
 	System uint8 `json:"system"`
 	// MaxEvents aborts runaway shards (0 = unlimited).
@@ -104,6 +82,92 @@ type Job struct {
 	// the first boundary of each attempt, fingerprint-chained delta
 	// records after.
 	CkptDelta bool `json:"ckpt_delta,omitempty"`
+
+	// Plan is the run's encoded plan, identical in every job of the run.
+	Plan json.RawMessage `json:"plan"`
+}
+
+// plan is the wire form of a workload.
+type plan struct {
+	Gates       []circuit.Gate   `json:"gates"`
+	Inputs      []circuit.GateID `json:"inputs"`
+	Outputs     []circuit.GateID `json:"outputs"`
+	Stimulus    vectors.Stimulus `json:"stimulus"`
+	Assign      []int            `json:"assign"`
+	ShardOf     []int            `json:"shard_of"`
+	Fingerprint string           `json:"fingerprint"`
+}
+
+// workload is a plan in memory: what the hub resolves from its recipe
+// and what every worker decodes from its job.
+type workload struct {
+	c       *circuit.Circuit
+	stim    *vectors.Stimulus
+	part    *partition.Partition
+	shardOf []int // LP -> shard
+}
+
+// encode seals the workload into the plan every job of the run carries.
+func (wl *workload) encode() (json.RawMessage, error) {
+	return json.Marshal(&plan{
+		Gates: wl.c.Gates, Inputs: wl.c.Inputs, Outputs: wl.c.Outputs,
+		Stimulus: *wl.stim, Assign: wl.part.Assign, ShardOf: wl.shardOf,
+		Fingerprint: wl.fingerprint(),
+	})
+}
+
+// fingerprint extends ckpt.Fingerprint over the primary I/O lists, the
+// stimulus, the assignment and the shard map.
+func (wl *workload) fingerprint() string {
+	h := fnv.New64a()
+	fmt.Fprintln(h, ckpt.Fingerprint(wl.c), wl.c.Inputs, wl.c.Outputs, wl.stim.End)
+	for _, ch := range wl.stim.Changes {
+		fmt.Fprintf(h, "%d %d %d\n", ch.Time, ch.Input, ch.Value)
+	}
+	fmt.Fprintln(h, wl.part.Assign, wl.shardOf)
+	return fmt.Sprintf("fnv64a:%016x", h.Sum64())
+}
+
+// decodePlan rebuilds a job's workload. The plan comes from outside the
+// process, so it is validated (the netlist by circuit.New, stimulus on
+// primary inputs only, assignment and shard indices in range) and its
+// fingerprint recomputed: a plan whose content does not match its seal
+// is refused.
+func decodePlan(p []byte, shards int) (*workload, error) {
+	var pl plan
+	if err := json.Unmarshal(p, &pl); err != nil {
+		return nil, fmt.Errorf("dist: plan decode: %w", err)
+	}
+	c, err := circuit.New(pl.Gates, pl.Inputs, pl.Outputs)
+	if err != nil {
+		return nil, err
+	}
+	if err := pl.Stimulus.Validate(c); err != nil {
+		return nil, err
+	}
+	for lp, s := range pl.ShardOf {
+		if s < 0 || s >= shards {
+			return nil, fmt.Errorf("dist: plan maps lp %d to shard %d of %d", lp, s, shards)
+		}
+	}
+	part := &partition.Partition{Blocks: len(pl.ShardOf), Assign: pl.Assign}
+	if err := part.Validate(c); err != nil {
+		return nil, err
+	}
+	wl := &workload{c: c, stim: &pl.Stimulus, part: part, shardOf: pl.ShardOf}
+	if fp := wl.fingerprint(); fp != pl.Fingerprint {
+		return nil, fmt.Errorf("dist: plan fingerprint %s does not match its content %s", pl.Fingerprint, fp)
+	}
+	return wl, nil
+}
+
+// phaseJob marks a worker's refusal of its job. The hub does not restart
+// on it: every attempt ships the same plan, so the refusal would repeat.
+const phaseJob = "job"
+
+// refuse wraps a job rejection for the FError frame.
+func refuse(err error) error {
+	return &supervise.SimError{Engine: "dist", LP: -1, Phase: phaseJob, Cause: err}
 }
 
 // validEngine reports whether the engine name distributes.
@@ -142,68 +206,6 @@ func (j *Job) LogicSystem() (logic.System, error) {
 	return 0, fmt.Errorf("dist: invalid logic system %d", j.System)
 }
 
-// BuildCircuit regenerates the circuit from the job's deterministic
-// parameters — the same resolution order as the parsim CLI.
-func (j *Job) BuildCircuit() (*circuit.Circuit, error) {
-	if j.Bench != "" {
-		f, err := os.Open(j.Bench)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return bench.Read(f)
-	}
-	delays := gen.Unit
-	if j.FineDelays > 0 {
-		delays = gen.Fine(circuit.Tick(j.FineDelays), j.Seed)
-	}
-	return gen.ByName(j.Circuit, delays, j.Seed)
-}
-
-// BuildStimulus regenerates the stimulus: clocked when the circuit has
-// a clock input, random vectors otherwise (mirrors the parsim CLI, so a
-// distributed run and its sequential golden see the same input).
-func (j *Job) BuildStimulus(c *circuit.Circuit) (*vectors.Stimulus, error) {
-	for _, clk := range []string{"clk", "CLK", "__CLK"} {
-		if id, ok := c.ByName(clk); ok && c.Gate(id).Kind == circuit.Input {
-			return vectors.Clocked(c, vectors.ClockedConfig{
-				Clock: clk, Cycles: j.Vectors, HalfPeriod: circuit.Tick(j.Period),
-				Activity: j.Activity, Seed: j.Seed,
-			})
-		}
-	}
-	return vectors.Random(c, vectors.RandomConfig{
-		Vectors: j.Vectors, Period: circuit.Tick(j.Period),
-		Activity: j.Activity, Seed: j.Seed,
-	})
-}
-
-// BuildPartition regenerates the LP partition and the LP->shard map.
-// Both sides of the wire run this with identical inputs, so the hub and
-// every worker agree on gate ownership without shipping the assignment.
-func (j *Job) BuildPartition(c *circuit.Circuit) (*partition.Partition, []int, error) {
-	method, err := partition.ParseMethod(j.Partition)
-	if err != nil {
-		return nil, nil, err
-	}
-	lps := j.LPs
-	if lps <= 0 {
-		lps = 4
-	}
-	part, err := partition.New(method, c, lps, partition.Options{Seed: j.PartitionSeed})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := part.Validate(c); err != nil {
-		return nil, nil, err
-	}
-	if j.Shards < 1 {
-		return nil, nil, fmt.Errorf("dist: job needs at least one shard, got %d", j.Shards)
-	}
-	shardOf := part.Group(j.Shards, partition.WeightsUniform(c))
-	return part, shardOf, nil
-}
-
 // Encode marshals the job for an FJob frame.
 func (j *Job) Encode() ([]byte, error) { return json.Marshal(j) }
 
@@ -215,6 +217,9 @@ func DecodeJob(p []byte) (*Job, error) {
 	}
 	if !validEngine(j.Engine) {
 		return nil, fmt.Errorf("dist: engine %q does not distribute (cmb, cmb-demand, timewarp, timewarp-lazy)", j.Engine)
+	}
+	if j.Shard < 0 || j.Shard >= j.Shards {
+		return nil, fmt.Errorf("dist: job places shard %d in a fleet of %d", j.Shard, j.Shards)
 	}
 	return &j, nil
 }

@@ -215,14 +215,8 @@ func writeShardChain(t *testing.T, dir string, shard int, states []*ckpt.State, 
 // of directly written full snapshots — restoring through the chain is
 // indistinguishable from restoring a full snapshot.
 func TestDeltaChainRestore(t *testing.T) {
-	j := testJob()
-	c, _ := j.BuildCircuit()
-	j.Shards = 2
-	j.LPs = 4
-	part, shardOf, err := j.BuildPartition(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := testWorkload(t, 2)
+	c, part, shardOf := wl.c, wl.part, wl.shardOf
 	gateShard := make([]int, c.NumGates())
 	for g := range gateShard {
 		gateShard[g] = shardOf[part.Assign[g]]
@@ -266,14 +260,8 @@ func TestDeltaChainRestore(t *testing.T) {
 // snapshot itself when the very first link breaks — never to a wrong
 // state and never to a wedge.
 func TestDeltaChainCorruptFallsBack(t *testing.T) {
-	j := testJob()
-	c, _ := j.BuildCircuit()
-	j.Shards = 2
-	j.LPs = 4
-	part, shardOf, err := j.BuildPartition(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := testWorkload(t, 2)
+	c, part, shardOf := wl.c, wl.part, wl.shardOf
 	gateShard := make([]int, c.NumGates())
 	for g := range gateShard {
 		gateShard[g] = shardOf[part.Assign[g]]

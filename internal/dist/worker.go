@@ -42,7 +42,7 @@ type bufferedFrame struct {
 }
 
 // Worker is one shard of a distributed run: it dials the coordinator,
-// receives its job, regenerates the workload deterministically, writes
+// receives its job, decodes and checks the plan it carries, writes
 // shard-restricted checkpoints via a sequential shadow, runs its engine
 // over the local LPs, and reports the shard result.
 type Worker struct {
@@ -55,7 +55,7 @@ type Worker struct {
 
 	// mu guards seam, preSeam, and mesh: frames can arrive (on the
 	// endpoint read goroutine) before the job does, and the seam cannot
-	// exist until the job's partition is built. Batches and GVT commands
+	// exist until the job's plan is decoded. Batches and GVT commands
 	// that arrive early are buffered and replayed through the seam at
 	// install time, under the same lock, so no sequenced frame is ever
 	// dropped and order is preserved.
@@ -197,24 +197,17 @@ func (w *Worker) Run() error {
 	}
 	job, err := DecodeJob(payload)
 	if err != nil {
-		return w.sendError(err)
+		return w.sendError(refuse(err))
 	}
 	sys, err := job.LogicSystem()
 	if err != nil {
-		return w.sendError(err)
+		return w.sendError(refuse(err))
 	}
-	c, err := job.BuildCircuit()
+	wl, err := decodePlan(job.Plan, job.Shards)
 	if err != nil {
-		return w.sendError(err)
+		return w.sendError(refuse(err))
 	}
-	stim, err := job.BuildStimulus(c)
-	if err != nil {
-		return w.sendError(err)
-	}
-	part, shardOf, err := job.BuildPartition(c)
-	if err != nil {
-		return w.sendError(err)
-	}
+	c, stim, part, shardOf := wl.c, wl.stim, wl.part, wl.shardOf
 	seam := wire.NewSeam(w.ep, job.Shard, shardOf)
 	w.installSeam(seam)
 

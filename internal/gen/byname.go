@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"os"
 	"regexp"
 	"strconv"
 
@@ -56,4 +57,24 @@ func ByName(name string, delays DelaySpec, seed int64) (*circuit.Circuit, error)
 		})
 	}
 	return nil, fmt.Errorf("gen: unknown circuit family %q", m[1])
+}
+
+// Load resolves a circuit source the way the command-line tools and the
+// distributed hub do: the ISCAS .bench file at benchPath when it is
+// non-empty, otherwise ByName(name) with unit delays, or with random
+// delays in [1,fine] when fine > 0. seed feeds delays and generators.
+func Load(benchPath, name string, fine uint64, seed int64) (*circuit.Circuit, error) {
+	if benchPath != "" {
+		f, err := os.Open(benchPath)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return bench.Read(f)
+	}
+	delays := Unit
+	if fine > 0 {
+		delays = Fine(circuit.Tick(fine), seed)
+	}
+	return ByName(name, delays, seed)
 }

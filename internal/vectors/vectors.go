@@ -239,6 +239,27 @@ func Clocked(c *circuit.Circuit, cfg ClockedConfig) (*Stimulus, error) {
 	return s, nil
 }
 
+// ClockInput returns the name of c's clock: the first of "clk", "CLK"
+// and "__CLK" that names a primary input, or "" when there is none.
+func ClockInput(c *circuit.Circuit) string {
+	for _, name := range []string{"clk", "CLK", "__CLK"} {
+		if id, ok := c.ByName(name); ok && c.Gate(id).Kind == circuit.Input {
+			return name
+		}
+	}
+	return ""
+}
+
+// ForCircuit builds the stimulus the command-line tools and the
+// distributed hub share: vecs Clocked cycles of half-period period when
+// c has a clock input, otherwise vecs Random vectors period ticks apart.
+func ForCircuit(c *circuit.Circuit, vecs int, activity float64, period circuit.Tick, seed int64) (*Stimulus, error) {
+	if clk := ClockInput(c); clk != "" {
+		return Clocked(c, ClockedConfig{Clock: clk, Cycles: vecs, HalfPeriod: period, Activity: activity, Seed: seed})
+	}
+	return Random(c, RandomConfig{Vectors: vecs, Period: period, Activity: activity, Seed: seed})
+}
+
 // WalkingOnes generates the classic walking-ones pattern: all inputs start
 // at 0 and a single 1 marches across the inputs, one position per period.
 // It produces low, perfectly regular activity, useful as a partitioning and
